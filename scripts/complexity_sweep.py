@@ -11,22 +11,13 @@ Usage: python scripts/complexity_sweep.py [--seeds 10] [--ns 4,7,13,25,49]
 """
 
 import argparse
-import math
 import os
 from pathlib import Path
 
 from squadsim import run_scenario, worst_case
-from squadsim.metrics import CSV_HEADER
+from squadsim.metrics import CSV_HEADER, fit_slope
 
 PROTOCOLS = ("squad", "alltoall", "doubling")
-
-
-def fit_slope(points):
-    xs = [math.log(n) for n in sorted(points)]
-    ys = [math.log(points[n]) for n in sorted(points)]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    var = sum((x - mx) ** 2 for x in xs)
-    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var
 
 
 def main():

@@ -17,7 +17,7 @@ validated against the delta bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .crypto import ThresholdSignature
@@ -207,7 +207,6 @@ class ScenarioConfig:
     policy: object
     horizon: Fraction
     beta: Fraction = Fraction(1)
-    cert_releases: dict[int, Fraction] = field(default_factory=dict)
 
     @property
     def overlap(self) -> Fraction:
@@ -226,10 +225,19 @@ class ScenarioConfig:
             raise ValueError(f"n={self.n} is not 3f+1")
         if len(self.byzantine) > self.f:
             raise ValueError("byzantine set exceeds f")
+        pids = set(range(1, self.n + 1))
+        if not self.byzantine <= pids:
+            raise ValueError(f"byzantine ids {sorted(self.byzantine - pids)} "
+                             f"outside 1..{self.n}")
+        for what, keyed in (("clock", self.clocks), ("start", self.start_times)):
+            if set(keyed) != pids:
+                raise ValueError(f"{what} ids {sorted(keyed)} are not 1..{self.n}")
         if self.gst < 0:
             raise ValueError("GST must be nonnegative")
         if any(t > self.gst for t in self.start_times.values()):
             raise ValueError("all processes must start by GST")
+        for clock in self.clocks.values():
+            clock.validate(self.gst)
 
 
 def _f_of(n: int) -> int:
@@ -324,8 +332,7 @@ def worst_case(n: int, seed: int, protocol: str = "squad",
         start_times=starts,
         clocks={p: ClockModel.constant(p) for p in range(1, n + 1)},
         policy=policy,
-        horizon=gst + 3 * (f + 1) * view_d + 40 * delta,
-        cert_releases=releases)
+        horizon=gst + 3 * (f + 1) * view_d + 40 * delta)
     cfg.validate()
     return cfg
 
@@ -429,9 +436,12 @@ def randomized(n: int, seed: int, protocol: str = "raresync-quad",
     return cfg
 
 
-def custom_file(path: str, n: int, seed: int, protocol: str,
+SCENARIO_KEYS = ("byzantine", "strategy", "proposals", "drift", "policy", "start")
+
+
+def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
                 delta=Fraction(1), gst=Fraction(50), epsilon=None) -> ScenarioConfig:
-    """Scenario described by a flat key=value file.
+    """Scenario described by the key=value pairs of a flat file.
 
     Recognized keys: byzantine (comma-separated ids), strategy, proposals
     (an integer for unanimity or 'distinct'), drift (single pre-GST rate or
@@ -440,13 +450,6 @@ def custom_file(path: str, n: int, seed: int, protocol: str,
     """
     cfg = happy(n, seed, protocol, delta, gst, epsilon)
     cfg.name = "custom-file"
-    fields: dict[str, str] = {}
-    for raw in open(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
     if fields.get("byzantine"):
         cfg.byzantine = frozenset(int(s) for s in fields["byzantine"].split(","))
     cfg.strategy = fields.get("strategy", "silent")

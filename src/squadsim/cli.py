@@ -12,12 +12,13 @@ violated an invariant; 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .adversary import BUILDERS, custom_file
+from .adversary import BUILDERS, SCENARIO_KEYS, custom_file
 from .metrics import CSV_HEADER
 from .runner import PROTOCOLS, run_scenario
 
@@ -44,16 +45,24 @@ def parse_n_list(spec: str) -> list[int]:
     return [int(s) for s in str(spec).split(",") if s]
 
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str, known) -> dict[str, str]:
+    """Parse a flat key=value file ('#' comments); every key must be in ``known``."""
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"bad config line: {raw!r}")
+            raise ConfigError(f"bad line in {path}: {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
+    unknown = set(out) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown keys in {path}: {sorted(unknown)}")
     return out
 
 
@@ -86,14 +95,7 @@ def resolve_options(argv) -> dict:
     args = build_parser().parse_args(argv)
     opts = dict(DEFAULTS)
     if args.config:
-        try:
-            file_opts = read_config_file(args.config)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        unknown = set(file_opts) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(file_opts)
+        opts.update(read_config_file(args.config, DEFAULTS))
     for key in DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
@@ -102,8 +104,11 @@ def resolve_options(argv) -> dict:
         raise ConfigError(f"unknown protocol {opts['protocol']!r}")
     if opts["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {opts['scenario']!r}")
-    if opts["scenario"] == "custom-file" and not opts["scenario_file"]:
-        raise ConfigError("--scenario custom-file requires --scenario-file")
+    if opts["scenario"] == "custom-file":
+        if not opts["scenario_file"]:
+            raise ConfigError("--scenario custom-file requires --scenario-file")
+        opts["scenario_fields"] = read_config_file(opts["scenario_file"],
+                                                   SCENARIO_KEYS)
     try:
         opts["n_list"] = parse_n_list(opts["n"])
         opts["seed_list"] = parse_seed_range(str(opts["seeds"]))
@@ -113,6 +118,8 @@ def resolve_options(argv) -> dict:
                                 else Fraction(str(opts["epsilon"])))
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc))
+    if not opts["n_list"] or not opts["seed_list"]:
+        raise ConfigError("empty system-size or seed list: nothing to run")
     for n in opts["n_list"]:
         if n < 4 or (n - 1) % 3 != 0:
             raise ConfigError(f"n={n} is not 3f+1 for integer f >= 1")
@@ -144,9 +151,7 @@ def main(argv=None) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     if opts["scenario"] == "custom-file":
-        def builder(n, seed, protocol, delta, gst, epsilon):
-            return custom_file(opts["scenario_file"], n, seed, protocol,
-                               delta, gst, epsilon)
+        builder = functools.partial(custom_file, opts["scenario_fields"])
     else:
         builder = BUILDERS[opts["scenario"]]
     rows = [CSV_HEADER]
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
             try:
                 cfg = builder(n, seed, opts["protocol"], opts["delta_frac"],
                               opts["gst_frac"], opts["epsilon_frac"])
-            except (ValueError, OSError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
             result = run_scenario(cfg)

@@ -154,26 +154,6 @@ class CertPhase:
         self._exit(ctx, msg.value, msg.cert)
 
 
-class TallyingContext:
-    """Context wrapper counting outbound words independently of the trace."""
-
-    def __init__(self, inner, sent_log: list):
-        self._inner = inner
-        self._sent_log = sent_log
-
-    def send(self, receiver: int, payload, words: int = 1) -> None:
-        self._sent_log.append((self._inner.now, words))
-        self._inner.send(receiver, payload, words)
-
-    def broadcast(self, payload, words: int = 1) -> None:
-        for _ in range(self._inner.n):
-            self._sent_log.append((self._inner.now, words))
-        self._inner.broadcast(payload, words)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class ProtocolNode:
     """One correct process: optional certification, synchronizer, view core."""
 
@@ -187,7 +167,6 @@ class ProtocolNode:
         self.f = f
         self.proposal = proposal
         self.certified = certified
-        self.sent_log: list = []
 
         validator = ((lambda value, cert: verify_certificate(crypto, value, cert))
                      if certified else None)
@@ -212,9 +191,6 @@ class ProtocolNode:
         self._running = False
         self._pre_start: list = []   # consensus messages before cert exit
 
-    def _wrap(self, ctx):
-        return TallyingContext(ctx, self.sent_log)
-
     def _on_advance(self, ctx, view: int) -> None:
         self.core.start_executing(ctx, view)
 
@@ -233,7 +209,6 @@ class ProtocolNode:
     # -- engine hooks --------------------------------------------------------
 
     def on_start(self, ctx) -> None:
-        ctx = self._wrap(ctx)
         self._started = True
         if self.cert_phase is not None:
             self.cert_phase.start(ctx)
@@ -247,7 +222,7 @@ class ProtocolNode:
         if not self._started:
             self._inbox.append((sender, payload))
             return
-        self._deliver(self._wrap(ctx), sender, payload)
+        self._deliver(ctx, sender, payload)
 
     def _deliver(self, ctx, sender: int, payload) -> None:
         if self.cert_phase is not None and self.cert_phase.on_message(ctx, sender, payload):
@@ -263,7 +238,6 @@ class ProtocolNode:
         self.core.on_message(ctx, sender, payload)
 
     def on_timer(self, ctx, kind: str) -> None:
-        ctx = self._wrap(ctx)
         if kind == "view_timer":
             self.sync.on_view_timer(ctx)
         elif kind == "dissemination_timer":

@@ -128,9 +128,5 @@ class CryptoSystem:
         signed = self._ledger.get((tsig.scheme, tsig.digest), set())
         return all(s in signed for s in tsig.signers)
 
-    def signers_on_record(self, message, scheme: str) -> frozenset[int]:
-        """Who actually signed this digest (post-hoc auditing)."""
-        return frozenset(self._ledger.get((scheme, digest_of(message)), set()))
-
     def signers_for_digest(self, scheme: str, digest: str) -> frozenset[int]:
         return frozenset(self._ledger.get((scheme, digest), set()))

@@ -87,6 +87,9 @@ class ProcessContext:
     def __init__(self, sim: "Simulation", pid: int):
         self._sim = sim
         self.pid = pid
+        # (time, words) per point-to-point send: a word tally kept apart
+        # from the trace, so the two accountings can check each other
+        self.sent_log: list[tuple[Fraction, int]] = []
 
     @property
     def now(self) -> Fraction:
@@ -105,10 +108,12 @@ class ProcessContext:
         return self._sim.f
 
     def send(self, receiver: int, payload, words: int = 1) -> None:
+        self.sent_log.append((self._sim.now, words))
         self._sim._send(self.pid, receiver, payload, words)
 
     def broadcast(self, payload, words: int = 1) -> None:
         # n point-to-point sends, self included, in process-id order
+        self.sent_log.extend([(self._sim.now, words)] * self._sim.n)
         for receiver in range(1, self._sim.n + 1):
             self._sim._send(self.pid, receiver, payload, words)
 

@@ -16,6 +16,11 @@ quorum certificates), signature unforgeability, per-view word budgets,
 network delay legality, and the certification phase's computability,
 liveness and word budget.
 
+Every extractor and checker reads a ``TraceIndex``: advances per
+process, first decisions, sends grouped by sender, emitted messages and
+deliveries, gathered in a single pass over ``trace.events`` and cached
+on the trace (``index_of``). No other code here walks the event list.
+
 Bounds are checked with exact rational arithmetic. A few properties are
 promises about infinite executions; their missing-event forms are applied
 only when the (finite) trace demonstrably ran long enough to owe the
@@ -24,6 +29,7 @@ event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -41,40 +47,68 @@ CERT_MESSAGE_TYPES = (DiscloseMsg, AllowAnyMsg, CertificateMsg)
 
 
 # --------------------------------------------------------------------------
+# Trace index
+# --------------------------------------------------------------------------
+
+class TraceIndex:
+    """The events every extractor and checker needs, grouped in one pass.
+
+    ``sends`` holds correct processes' sends (kind ``send``), ``emitted``
+    adds Byzantine emissions (kind ``byz``); both keep trace order.
+    """
+
+    def __init__(self, trace: Trace):
+        self.size = len(trace.events)
+        self.advances: dict[int, list[tuple[Fraction, int]]] = {}
+        self.decisions: dict[int, tuple[Fraction, object]] = {}
+        self.sends: list[TraceEvent] = []
+        self.sends_by: dict[int, list[TraceEvent]] = {}
+        self.emitted: list[TraceEvent] = []
+        self.delivers: list[TraceEvent] = []
+        for ev in trace.events:
+            kind = ev.kind
+            if kind == "send":
+                self.sends.append(ev)
+                self.sends_by.setdefault(ev.process, []).append(ev)
+                self.emitted.append(ev)
+            elif kind == "deliver":
+                self.delivers.append(ev)
+            elif kind == "byz":
+                self.emitted.append(ev)
+            elif kind == "advance":
+                self.advances.setdefault(ev.process, []).append((ev.time, ev.payload))
+            elif kind == "decide":
+                self.decisions.setdefault(ev.process, (ev.time, ev.payload))
+        self.end_time = trace.events[-1].time if trace.events else Fraction(0)
+
+
+def index_of(trace: Trace) -> TraceIndex:
+    """The trace's cached index, rebuilt when events were appended since."""
+    index = trace.index
+    if index is None or index.size != len(trace.events):
+        index = trace.index = TraceIndex(trace)
+    return index
+
+
+# --------------------------------------------------------------------------
 # Extraction helpers
 # --------------------------------------------------------------------------
 
 def decide_times(trace: Trace) -> dict[int, tuple[Fraction, object]]:
-    out = {}
-    for ev in trace.by_kind("decide"):
-        out.setdefault(ev.process, (ev.time, ev.payload))
-    return out
+    return dict(index_of(trace).decisions)
 
 
 def decision_time(trace: Trace) -> Optional[Fraction]:
     """First time by which all correct processes have decided."""
-    decided = decide_times(trace)
+    decided = index_of(trace).decisions
     correct = trace.correct()
     if any(p not in decided for p in correct):
         return None
     return max(decided[p][0] for p in correct)
 
 
-def _advance_index(trace: Trace) -> dict[int, list[tuple[Fraction, int]]]:
-    # one pass over the trace, invalidated when events are appended
-    cache = getattr(trace, "_advance_cache", None)
-    if cache is not None and cache[0] == len(trace.events):
-        return cache[1]
-    index: dict[int, list[tuple[Fraction, int]]] = {}
-    for ev in trace.events:
-        if ev.kind == "advance":
-            index.setdefault(ev.process, []).append((ev.time, ev.payload))
-    trace._advance_cache = (len(trace.events), index)
-    return index
-
-
 def advances(trace: Trace, pid: int) -> list[tuple[Fraction, int]]:
-    return _advance_index(trace).get(pid, [])
+    return index_of(trace).advances.get(pid, [])
 
 
 def view_intervals(trace: Trace, pid: int):
@@ -113,22 +147,15 @@ def sync_reference_time(trace: Trace, cfg) -> Fraction:
     return t0
 
 
-def first_entry_times(trace: Trace, f: int, correct: list[int]) -> dict[int, Fraction]:
-    firsts: dict[int, Fraction] = {}
-    for pid in correct:
-        for t, e in epoch_entries(trace, pid, f):
-            if e not in firsts or t < firsts[e]:
-                firsts[e] = t
-    return firsts
-
-
 def stable_epochs(trace: Trace, cfg) -> tuple[int, Optional[int], Optional[Fraction]]:
     """(e_max, e_final, t_e_final) relative to the sync reference time."""
     t0 = sync_reference_time(trace, cfg)
-    firsts = first_entry_times(trace, cfg.f, trace.correct())
+    firsts: dict[int, Fraction] = {}   # epoch -> first correct entry
     e_max = 0
     for pid in trace.correct():
         for t, e in epoch_entries(trace, pid, cfg.f):
+            if e not in firsts or t < firsts[e]:
+                firsts[e] = t
             if t < t0 and e > e_max:
                 e_max = e
     candidates = [e for e, t in firsts.items() if t >= t0]
@@ -165,29 +192,16 @@ def find_sync_time(trace: Trace, cfg) -> Optional[Fraction]:
 
 def count_words(trace: Trace, gst: Fraction, t_d: Optional[Fraction]) -> int:
     """Words sent by correct processes during [GST, t_d]."""
-    total = 0
-    for ev in trace.events:
-        if ev.kind != "send":
-            continue
-        if ev.time < gst:
-            continue
-        if t_d is not None and ev.time > t_d:
-            continue
-        total += ev.words
-    return total
+    return sum(ev.words for ev in index_of(trace).sends
+               if ev.time >= gst and (t_d is None or ev.time <= t_d))
 
 
 def sync_window_words(trace: Trace, cfg, t_s: Optional[Fraction]) -> int:
     """Synchronizer-class words sent by correct processes in [GST, t_s + overlap]."""
     hi = None if t_s is None else t_s + cfg.overlap
-    total = 0
-    for ev in trace.events:
-        if ev.kind != "send" or not isinstance(ev.payload, SYNC_MESSAGE_TYPES):
-            continue
-        if ev.time < cfg.gst or (hi is not None and ev.time > hi):
-            continue
-        total += ev.words
-    return total
+    return sum(ev.words for ev in index_of(trace).sends
+               if isinstance(ev.payload, SYNC_MESSAGE_TYPES)
+               and ev.time >= cfg.gst and (hi is None or ev.time <= hi))
 
 
 def handler_tally_words(sent_logs: dict[int, list], trace: Trace,
@@ -201,6 +215,16 @@ def handler_tally_words(sent_logs: dict[int, list], trace: Trace,
             if t >= gst and (t_d is None or t <= t_d):
                 total += words
     return total
+
+
+def fit_slope(points: dict[int, int]) -> float:
+    """Least-squares slope of log(words) against log(n)."""
+    xs = [math.log(n) for n in sorted(points)]
+    ys = [math.log(points[n]) for n in sorted(points)]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    var = sum((x - mx) ** 2 for x in xs)
+    return cov / var
 
 
 # --------------------------------------------------------------------------
@@ -270,11 +294,11 @@ def check_quiet_period(trace, cfg, crypto=None):
     if e_final is None:
         return out
     bound = t_ef + cfg.epoch_duration
-    for ev in trace.events:
-        if ev.kind == "send" and isinstance(ev.payload, EpochCompletedMsg):
-            if ev.payload.epoch >= e_final and ev.time < bound:
-                out.append(f"quiet_period: P{ev.process} sent EPOCH-COMPLETED for "
-                           f"{ev.payload.epoch} at {ev.time} < {bound}")
+    for ev in index_of(trace).sends:
+        if (isinstance(ev.payload, EpochCompletedMsg)
+                and ev.payload.epoch >= e_final and ev.time < bound):
+            out.append(f"quiet_period: P{ev.process} sent EPOCH-COMPLETED for "
+                       f"{ev.payload.epoch} at {ev.time} < {bound}")
     return out
 
 
@@ -283,7 +307,7 @@ def check_tight_entry(trace, cfg, crypto=None):
     _, e_final, t_ef = stable_epochs(trace, cfg)
     if e_final is None:
         return out
-    end_time = trace.events[-1].time if trace.events else Fraction(0)
+    end_time = index_of(trace).end_time
     for pid in trace.correct():
         mine = [t for t, e in epoch_entries(trace, pid, cfg.f) if e == e_final]
         if not mine:
@@ -325,8 +349,7 @@ def check_entry_bound(trace, cfg, crypto=None):
     _, e_final, t_ef = stable_epochs(trace, cfg)
     bound = t0 + cfg.epoch_duration + 4 * cfg.delta
     if e_final is None:
-        end_time = trace.events[-1].time if trace.events else Fraction(0)
-        if end_time > bound:
+        if index_of(trace).end_time > bound:
             out.append(f"entry_bound: no post-stabilization epoch entered though "
                        f"the run passed {bound}")
         return out
@@ -376,20 +399,14 @@ def check_agreement(trace, cfg, crypto=None):
     return []
 
 
-def _iter_qcs(trace):
-    for ev in trace.events:
-        if ev.kind in ("send", "byz") and isinstance(ev.payload, CoreMessage):
-            if ev.payload.qc is not None:
-                yield ev, ev.payload.qc
-
-
 def check_conflicting_qcs(trace, cfg, crypto=None):
     seen: dict[tuple, object] = {}
     out = []
     reported = set()
-    for ev, qc in _iter_qcs(trace):
-        if crypto is not None and not crypto.combined_verify(
-                vote_message(qc.phase, qc.value, qc.view), qc.sig):
+    for ev in index_of(trace).emitted:
+        qc = ev.payload.qc if isinstance(ev.payload, CoreMessage) else None
+        if qc is None or (crypto is not None and not crypto.combined_verify(
+                vote_message(qc.phase, qc.value, qc.view), qc.sig)):
             continue
         key = (qc.phase, qc.view)
         if key in seen and seen[key] != qc.value and key not in reported:
@@ -424,9 +441,7 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
             if isinstance(obj.cert, Certificate):
                 yield obj.cert.tsig
 
-    for ev in trace.events:
-        if ev.kind != "send":
-            continue
+    for ev in index_of(trace).sends:
         for tsig in tsigs_in(ev.payload):
             k = threshold.get(tsig.scheme, 0)
             signed = crypto.signers_for_digest(tsig.scheme, tsig.digest)
@@ -440,8 +455,8 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
 def check_core_word_budget(trace, cfg, crypto=None):
     out = []
     per: dict[tuple[int, int], int] = {}
-    for ev in trace.events:
-        if ev.kind == "send" and isinstance(ev.payload, CoreMessage):
+    for ev in index_of(trace).sends:
+        if isinstance(ev.payload, CoreMessage):
             key = (ev.process, ev.payload.view)
             per[key] = per.get(key, 0) + 1
     for (pid, view), cnt in sorted(per.items()):
@@ -454,8 +469,8 @@ def check_core_word_budget(trace, cfg, crypto=None):
 
 def check_message_words(trace, cfg, crypto=None):
     out = []
-    for ev in trace.events:
-        if ev.kind == "send" and ev.words < 1:
+    for ev in index_of(trace).sends:
+        if ev.words < 1:
             out.append(f"message_words: P{ev.process} send at {ev.time} "
                        f"carries {ev.words} words")
     return out
@@ -463,12 +478,10 @@ def check_message_words(trace, cfg, crypto=None):
 
 def check_delay_bounds(trace, cfg, crypto=None):
     out = []
-    sends: dict[int, TraceEvent] = {}
-    for ev in trace.events:
-        if ev.kind in ("send", "byz") and ev.seq is not None:
-            sends[ev.seq] = ev
-    for ev in trace.events:
-        if ev.kind != "deliver" or ev.seq not in sends:
+    index = index_of(trace)
+    sends = {ev.seq: ev for ev in index.emitted if ev.seq is not None}
+    for ev in index.delivers:
+        if ev.seq not in sends:
             continue
         sent = sends[ev.seq]
         delay = ev.time - sent.time
@@ -481,9 +494,7 @@ def check_delay_bounds(trace, cfg, crypto=None):
 
 
 def _verifying_certs(trace, crypto):
-    for ev in trace.events:
-        if ev.kind not in ("send", "byz"):
-            continue
+    for ev in index_of(trace).emitted:
         certs = []
         if isinstance(ev.payload, CertificateMsg):
             certs.append((ev.payload.value, ev.payload.cert))
@@ -520,10 +531,10 @@ def check_cert_liveness(trace, cfg, crypto=None):
         return []
     out = []
     deadline = cfg.gst + 2 * cfg.delta
+    sends_by = index_of(trace).sends_by
     for pid in trace.correct():
-        exits = [ev.time for ev in trace.events
-                 if ev.kind == "send" and ev.process == pid
-                 and isinstance(ev.payload, CertificateMsg)]
+        exits = [ev.time for ev in sends_by.get(pid, ())
+                 if isinstance(ev.payload, CertificateMsg)]
         if not exits:
             out.append(f"cert_liveness: P{pid} never obtained a certificate")
         elif exits[0] > deadline:
@@ -536,10 +547,10 @@ def check_cert_word_budget(trace, cfg, crypto=None):
     if cfg.protocol != "squad":
         return []
     out = []
+    sends_by = index_of(trace).sends_by
     for pid in trace.correct():
-        cnt = sum(1 for ev in trace.events
-                  if ev.kind == "send" and ev.process == pid
-                  and isinstance(ev.payload, CERT_MESSAGE_TYPES))
+        cnt = sum(1 for ev in sends_by.get(pid, ())
+                  if isinstance(ev.payload, CERT_MESSAGE_TYPES))
         if cnt > 3 * cfg.n:
             out.append(f"cert_word_budget: P{pid} sent {cnt} certification "
                        f"messages (> {3 * cfg.n})")
@@ -636,6 +647,7 @@ CSV_HEADER = ("protocol,n,f,seed,scenario,words_post_gst,words_sync_window,"
 
 
 def build_report(trace: Trace, cfg, crypto=None) -> MetricsReport:
+    index_of(trace)   # built here so its cost is not billed to a checker
     t_d = decision_time(trace)
     t_s = find_sync_time(trace, cfg)
     words = count_words(trace, cfg.gst, t_d)

@@ -25,6 +25,16 @@ class RunResult:
     simulation: Simulation
 
 
+def _protocol_node(cfg: ScenarioConfig, sim: Simulation, pid: int,
+                   core_factory=None) -> ProtocolNode:
+    return ProtocolNode(
+        pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
+        synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
+        overlap=cfg.overlap, epsilon=cfg.epsilon,
+        certified=(cfg.protocol == "squad"), beta=cfg.beta,
+        core_factory=core_factory)
+
+
 def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
     if cfg.strategy == "silent":
         return SilentNode()
@@ -33,12 +43,7 @@ def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
     if cfg.strategy == "cert_attack":
         return CertAttackNode(pid, cfg.n, cfg.f)
     if cfg.strategy == "equivocate":
-        return ProtocolNode(
-            pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
-            synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
-            overlap=cfg.overlap, epsilon=cfg.epsilon,
-            certified=(cfg.protocol == "squad"), beta=cfg.beta,
-            core_factory=EquivocatingCore)
+        return _protocol_node(cfg, sim, pid, core_factory=EquivocatingCore)
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
 
 
@@ -51,11 +56,7 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
         if pid in cfg.byzantine:
             node = _byzantine_node(cfg, sim, pid)
         else:
-            node = ProtocolNode(
-                pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
-                synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
-                overlap=cfg.overlap, epsilon=cfg.epsilon,
-                certified=(cfg.protocol == "squad"), beta=cfg.beta)
+            node = _protocol_node(cfg, sim, pid)
         sim.add_node(pid, node, cfg.start_times[pid])
     return sim
 
@@ -72,5 +73,5 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def sent_logs(sim: Simulation) -> dict[int, list]:
-    return {pid: node.sent_log for pid, node in sim.nodes.items()
-            if isinstance(node, ProtocolNode)}
+    """Per-process (time, words) send tallies, kept apart from the trace."""
+    return {pid: ctx.sent_log for pid, ctx in sim.contexts.items()}

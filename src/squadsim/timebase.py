@@ -19,17 +19,6 @@ SimTime = Fraction
 ZERO = Fraction(0)
 
 
-def as_time(value) -> Fraction:
-    """Coerce ints/strings/Fractions to an exact SimTime."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact time value: {value!r}")
-
-
 @dataclass(frozen=True)
 class ClockModel:
     """Piecewise-constant local-clock rate schedule for one process.
@@ -65,27 +54,19 @@ class ClockModel:
         return ClockModel(process, tuple(segs))
 
     def validate(self, gst: Fraction) -> None:
-        prev = Fraction(-1)
-        for start, rate in self.segments:
+        segs = self.segments
+        for _, rate in segs:
             if rate <= 0:
                 raise ValueError(f"P{self.process}: non-positive clock rate {rate}")
-            if start <= prev:
+        # every segment in force at or after GST, that is every segment
+        # ending after it (the last one never ends), must run at rate 1
+        for (start, rate), (end, _) in zip(segs, segs[1:]):
+            if end <= start:
                 raise ValueError(f"P{self.process}: unsorted rate schedule")
-            if start >= gst and rate != 1:
+            if end > gst and rate != 1:
                 raise ValueError(f"P{self.process}: drift at/after GST")
-            prev = start
-        # the schedule in force at GST must already be rate 1
-        if self.rate_at(Fraction(gst)) != 1:
+        if segs[-1][1] != 1:
             raise ValueError(f"P{self.process}: drift at/after GST")
-
-    def rate_at(self, t: Fraction) -> Fraction:
-        rate = self.segments[0][1]
-        for start, r in self.segments:
-            if start <= t:
-                rate = r
-            else:
-                break
-        return rate
 
     def local_elapsed(self, t0: Fraction, t1: Fraction) -> Fraction:
         """Local-clock time accumulated over the global interval [t0, t1]."""

@@ -44,6 +44,8 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
     decided_all: bool = False
     horizon_hit: bool = False
+    # metrics.TraceIndex over ``events``, built and refreshed by metrics.index_of
+    index: Any = field(default=None, compare=False, repr=False)
 
     def append(self, ev: TraceEvent) -> None:
         self.events.append(ev)
@@ -53,6 +55,3 @@ class Trace:
 
     def serialize(self) -> str:
         return "\n".join(ev.line() for ev in self.events) + "\n"
-
-    def by_kind(self, kind: str):
-        return [ev for ev in self.events if ev.kind == kind]

@@ -5,7 +5,6 @@ criterion. Bounds are exact rational comparisons unless a criterion is a
 scaling-law fit, in which case the tolerance band is stated inline.
 """
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,9 +17,8 @@ from squadsim import (equivocate, happy, randomized, run_scenario, scenario_s,
 from squadsim.consensus import AllowAnyMsg, CertificateMsg, DiscloseMsg
 from squadsim.engine import MaxDelayPolicy
 from squadsim.metrics import (ALL_CHECKS, check_agreement,
-                              check_conflicting_qcs, decide_times,
-                              decision_time, epoch_entries, find_sync_time,
-                              stable_epochs, sync_window_words)
+                              check_conflicting_qcs, epoch_entries, fit_slope,
+                              stable_epochs)
 from squadsim.raresync import EpochCompletedMsg
 from tests.planted import PLANTED
 
@@ -72,15 +70,6 @@ def summarize(res) -> RunSummary:
         t_s=report.t_s, t_d=report.t_d, gst=cfg.gst, overlap=cfg.overlap,
         delta=cfg.delta, epoch_duration=cfg.epoch_duration,
         t_e_final=t_ef, e_final_spread=spread)
-
-
-def fit_slope(points: dict[int, int]) -> float:
-    xs = [math.log(n) for n in sorted(points)]
-    ys = [math.log(points[n]) for n in sorted(points)]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    var = sum((x - mx) ** 2 for x in xs)
-    return cov / var
 
 
 @pytest.fixture(scope="module")

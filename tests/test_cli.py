@@ -1,3 +1,5 @@
+import pytest
+
 from squadsim.cli import main, parse_seed_range
 from squadsim.metrics import CSV_HEADER
 
@@ -112,3 +114,26 @@ def test_custom_file_scenario(tmp_path):
 
 def test_custom_file_requires_path():
     assert main(["--scenario", "custom-file"]) == 2
+
+
+@pytest.mark.parametrize("scenario, args", [
+    pytest.param("drift=0\n", [], id="zero-drift"),
+    pytest.param("drift=1/0\n", [], id="zero-denominator"),
+    pytest.param("byzantine=9\n", [], id="byzantine-id-out-of-range"),
+    pytest.param("drift=9:2\n", [], id="drift-id-out-of-range"),
+    pytest.param("bogus=1\n", [], id="unknown-scenario-key"),
+    pytest.param("byzantine=4\nstrategy silent\n", [], id="line-without-equals"),
+    pytest.param(None, ["--seeds", "5..1"], id="empty-seeds"),
+    pytest.param(None, ["--n", ""], id="empty-n"),
+])
+def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args):
+    argv = ["--protocol", "raresync-quad", "--n", "4"] + args
+    if scenario is not None:
+        scen = tmp_path / "scenario.cfg"
+        scen.write_text(scenario)
+        argv += ["--scenario", "custom-file", "--scenario-file", str(scen)]
+    code, out = run_cli(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()

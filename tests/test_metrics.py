@@ -46,6 +46,14 @@ def test_all_sends_before_gst_count_zero():
     assert count_words(trace, Fraction(50), Fraction(100)) == 0
 
 
+def test_index_follows_events_appended_after_it_was_built():
+    trace = Trace(4, 1, Fraction(50), Fraction(1), frozenset())
+    trace.append(TraceEvent(Fraction(60), 1, "send", "x", 1))
+    assert count_words(trace, Fraction(50), None) == 1
+    trace.append(TraceEvent(Fraction(70), 2, "send", "x", 2))
+    assert count_words(trace, Fraction(50), None) == 3
+
+
 def test_count_words_matches_handler_tally(happy_run):
     trace, cfg = happy_run.trace, happy_run.config
     t_d = decision_time(trace)

@@ -63,6 +63,10 @@ def test_rejects_drift_after_gst():
     clock = ClockModel(1, ((Fraction(0), Fraction(2)),))
     with pytest.raises(ValueError):
         clock.validate(Fraction(10))
+    spans_gst = ClockModel(1, ((Fraction(0), Fraction(2)),
+                               (Fraction(20), Fraction(1))))
+    with pytest.raises(ValueError):
+        spans_gst.validate(Fraction(10))
 
 
 @given(rate_schedules(), fractions(max_num=120), fractions(max_num=50, max_den=4))
