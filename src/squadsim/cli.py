@@ -5,8 +5,9 @@ per (n, seed) pair, and exits nonzero when any run violates an invariant
 or fails to decide. Flags override a flat key=value config file; the
 SQUADSIM_OUT environment variable supplies the default output directory.
 
-Exit codes: 0 all runs decided with zero violations; 1 a run failed or
-violated an invariant; 2 configuration error.
+Exit codes: 0 all runs decided with zero violations; 1 a run failed to
+decide, raised an adversary or livelock error, or violated an invariant;
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .adversary import BUILDERS, SCENARIO_KEYS, custom_file
+from .engine import AdversaryViolation, LivelockError
 from .metrics import CSV_HEADER
 from .runner import PROTOCOLS, run_scenario
 
@@ -164,7 +166,13 @@ def main(argv=None) -> int:
             except (ValueError, ZeroDivisionError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
-            result = run_scenario(cfg)
+            try:
+                result = run_scenario(cfg)
+            except (AdversaryViolation, LivelockError) as exc:
+                failures += 1
+                print(f"[FAIL] {cfg.protocol} n={n} seed={seed} "
+                      f"scenario={cfg.name} error={type(exc).__name__}: {exc}")
+                continue
             report = result.report
             rows.append(report.csv_row())
             status = "ok"

@@ -125,8 +125,7 @@ class CryptoSystem:
             return False
         if len(tsig.signers) < self.schemes[tsig.scheme].k:
             return False
-        signed = self._ledger.get((tsig.scheme, tsig.digest), set())
-        return all(s in signed for s in tsig.signers)
+        return tsig.signers <= self._ledger.get((tsig.scheme, tsig.digest), set())
 
     def signers_for_digest(self, scheme: str, digest: str) -> frozenset[int]:
         return frozenset(self._ledger.get((scheme, digest), set()))

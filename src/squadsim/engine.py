@@ -7,7 +7,11 @@ boundary. Everything is single-threaded and exact:
 - the event queue pops in nondecreasing global time, ties broken by a
   fixed total order (time, event-class rank with delivery < timer-expiry,
   process id, sequence number), so a (config, seed) pair is a pure
-  function to a trace;
+  function to a trace. It is bucketed by time: a heap of the distinct
+  pending times, and per time a heap of (rank, pid, seq, ...) entries, so
+  exact ``Fraction`` comparisons happen only between distinct times and
+  the many ties (the n copies of a broadcast share a delivery time) are
+  decided by plain ints;
 - timers measure durations on the owner's local clock, integrating its
   rate schedule, and carry a generation counter so a cancel or re-measure
   silently retires any queued expiration;
@@ -141,11 +145,6 @@ class Node(Protocol):
     def on_timer(self, ctx: ProcessContext, kind: str) -> None: ...
 
 
-def _summary(payload) -> str:
-    fn = getattr(payload, "summary", None)
-    return fn() if fn else str(payload)
-
-
 class Simulation:
     def __init__(self, n: int, f: int, gst: SimTime, delta: SimTime,
                  delay_policy: DelayPolicy, seed: int = 0,
@@ -174,8 +173,12 @@ class Simulation:
         self.timers = {(p, k): TimerHandle(p, k)
                        for p in range(1, n + 1) for k in TIMER_KINDS}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
+        self._undecided = sum(1 for p in range(1, n + 1) if p not in self.byzantine)
 
-        self._queue: list[tuple] = []   # (time, rank, pid, seq, tag, data)
+        # heap of the distinct pending times; a time is in it exactly while
+        # its (numerator, denominator) key is in _buckets
+        self._times: list[Fraction] = []
+        self._buckets: dict[tuple[int, int], list[tuple]] = {}  # (rank, pid, seq, tag, data)
         self._seq = 0
 
     # -- wiring ----------------------------------------------------------
@@ -191,7 +194,16 @@ class Simulation:
 
     def _push(self, time: Fraction, rank: int, pid: int, tag: str, data) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (time, rank, pid, self._seq, tag, data))
+        self._enqueue(time, (rank, pid, self._seq, tag, data))
+
+    def _enqueue(self, time: Fraction, entry: tuple) -> None:
+        key = (time.numerator, time.denominator)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [entry]
+            heapq.heappush(self._times, time)
+        else:
+            heapq.heappush(bucket, entry)
 
     def _send(self, sender: int, receiver: int, payload, words: int) -> None:
         if not (1 <= receiver <= self.n):
@@ -209,12 +221,11 @@ class Simulation:
             raise AdversaryViolation("delivery before send")
         env.deliver_at = deliver_at
         kind = "send" if self.is_correct(sender) else "byz"
-        self._log(TraceEvent(self.now, sender, kind,
-                             f"{_summary(payload)}->P{receiver}#{env.seq}",
-                             words, payload=payload, sender=sender,
+        # detail None: TraceEvent.line renders it from the payload
+        self._log(TraceEvent(self.now, sender, kind, None, words,
+                             payload=payload, sender=sender,
                              receiver=receiver, seq=env.seq))
-        heapq.heappush(self._queue,
-                       (deliver_at, RANK_DELIVERY, receiver, env.seq, "deliver", env))
+        self._enqueue(deliver_at, (RANK_DELIVERY, receiver, env.seq, "deliver", env))
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         handle = self.timers[(pid, kind)]
@@ -232,6 +243,8 @@ class Simulation:
         if pid in self.decisions:
             return
         self.decisions[pid] = (self.now, value)
+        if pid not in self.byzantine:
+            self._undecided -= 1
         self._log(TraceEvent(self.now, pid, "decide", f"value={value}", 0, payload=value))
 
     def _log(self, ev: TraceEvent) -> None:
@@ -240,51 +253,67 @@ class Simulation:
     # -- run loop ----------------------------------------------------------
 
     def all_correct_decided(self) -> bool:
-        return all(p in self.decisions for p in range(1, self.n + 1)
-                   if self.is_correct(p))
+        return self._undecided == 0
+
+    def _finish(self) -> Trace:
+        self.trace.decided_all = self.all_correct_decided()
+        return self.trace
 
     def run(self, stop: Optional[Callable[["Simulation"], bool]] = None,
             horizon: Optional[SimTime] = None) -> Trace:
         if stop is None:
             stop = Simulation.all_correct_decided
         horizon_t = None if horizon is None else Fraction(horizon)
+        times, buckets = self._times, self._buckets
+        nodes, contexts, timers = self.nodes, self.contexts, self.timers
         while True:
             if stop(self):
-                self.trace.decided_all = self.all_correct_decided()
-                return self.trace
-            if not self._queue:
+                return self._finish()
+            if not times:
                 if horizon_t is None:
                     raise LivelockError(self.trace)
                 # nothing left to happen; time passes quietly to the horizon
                 self.now = max(self.now, horizon_t)
                 self.trace.horizon_hit = not stop(self)
-                self.trace.decided_all = self.all_correct_decided()
-                return self.trace
-            time, rank, pid, seq, tag, data = heapq.heappop(self._queue)
+                return self._finish()
+            # horizon and monotonicity hold for a whole bucket, since all
+            # its entries share one time
+            time = times[0]
             if horizon_t is not None and time > horizon_t:
                 self.trace.horizon_hit = True
-                self.trace.decided_all = self.all_correct_decided()
-                return self.trace
+                return self._finish()
             assert time >= self.now, "event queue went backwards"
             self.now = time
-            node = self.nodes.get(pid)
-            if node is None:
-                continue
-            ctx = self.contexts[pid]
-            if tag == "start":
-                node.on_start(ctx)
-            elif tag == "deliver":
-                env: Envelope = data
-                self._log(TraceEvent(time, pid, "deliver",
-                                     f"{_summary(env.payload)}<-P{env.sender}#{env.seq}",
-                                     0, payload=env.payload,
-                                     sender=env.sender, receiver=pid, seq=env.seq))
-                node.on_deliver(ctx, env.sender, env.payload)
-            elif tag == "timer":
-                kind, generation = data
-                handle = self.timers[(pid, kind)]
-                if handle.pending is None or handle.pending[1] != generation:
-                    continue  # canceled or superseded by a newer measure
-                handle.pending = None
-                self._log(TraceEvent(time, pid, "timer", f"{kind}:gen{generation}", 0))
-                node.on_timer(ctx, kind)
+            key = (time.numerator, time.denominator)
+            bucket = buckets[key]
+            while True:
+                _, pid, _, tag, data = heapq.heappop(bucket)
+                if not bucket:
+                    # retire the time now: a handler pushing at this same
+                    # time then opens a fresh bucket for it
+                    del buckets[key]
+                    retired = heapq.heappop(times)
+                    assert retired is time, "event queue went backwards"
+                node = nodes.get(pid)
+                if node is not None:
+                    if tag == "deliver":
+                        env: Envelope = data
+                        self._log(TraceEvent(time, pid, "deliver", None, 0,
+                                             payload=env.payload, sender=env.sender,
+                                             receiver=pid, seq=env.seq))
+                        node.on_deliver(contexts[pid], env.sender, env.payload)
+                    elif tag == "timer":
+                        kind, generation = data
+                        handle = timers[(pid, kind)]
+                        # skipped if canceled or superseded by a newer measure
+                        if handle.pending is not None and handle.pending[1] == generation:
+                            handle.pending = None
+                            self._log(TraceEvent(time, pid, "timer",
+                                                 f"{kind}:gen{generation}", 0))
+                            node.on_timer(contexts[pid], kind)
+                    elif tag == "start":
+                        node.on_start(contexts[pid])
+                if not bucket:
+                    break
+                if stop(self):
+                    return self._finish()

@@ -63,11 +63,7 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     sim = build_simulation(cfg)
-
-    def stop(s: Simulation) -> bool:
-        return s.all_correct_decided()
-
-    trace = sim.run(stop, horizon=cfg.horizon)
+    trace = sim.run(horizon=cfg.horizon)
     report = build_report(trace, cfg, sim.crypto)
     return RunResult(cfg, trace, report, sim)
 

@@ -7,6 +7,9 @@ pair must reproduce the serialized trace byte for byte.
 
 Events also keep a reference to the structured payload they describe so
 post-hoc checkers can inspect messages without parsing detail strings.
+Message events (send, byz, deliver) are logged without a detail string:
+it is rendered from the payload when the line is written, which is exact
+because every payload is immutable (frozen dataclasses, ints, strings).
 """
 
 from __future__ import annotations
@@ -18,20 +21,37 @@ from typing import Any, Optional
 KINDS = ("send", "deliver", "timer", "advance", "enter_epoch", "decide", "byz")
 
 
+def _summary(payload) -> str:
+    fn = getattr(payload, "summary", None)
+    return fn() if fn else str(payload)
+
+
 @dataclass
 class TraceEvent:
     time: Fraction
     process: int
     kind: str
-    detail: str
+    detail: Optional[str]      # None: rendered from the payload by line()
     words: int = 0
     payload: Any = None        # structured message/value, not serialized
     sender: Optional[int] = None
     receiver: Optional[int] = None
     seq: Optional[int] = None  # envelope id pairing a send with its delivery
 
-    def line(self) -> str:
-        return f"{self.time}|{self.process}|{self.kind}|{self.detail}|{self.words}"
+    def line(self, summaries: Optional[dict[int, str]] = None) -> str:
+        """The serialized event. ``summaries`` memoizes payload summaries
+        by ``id(payload)``; it is only valid while those payloads live."""
+        detail = self.detail
+        if detail is None:
+            memo = {} if summaries is None else summaries
+            text = memo.get(id(self.payload))
+            if text is None:
+                text = memo[id(self.payload)] = _summary(self.payload)
+            if self.kind == "deliver":
+                detail = f"{text}<-P{self.sender}#{self.seq}"
+            else:
+                detail = f"{text}->P{self.receiver}#{self.seq}"
+        return f"{self.time}|{self.process}|{self.kind}|{detail}|{self.words}"
 
 
 @dataclass
@@ -54,4 +74,7 @@ class Trace:
         return [p for p in range(1, self.n + 1) if p not in self.byzantine]
 
     def serialize(self) -> str:
-        return "\n".join(ev.line() for ev in self.events) + "\n"
+        # one summary per distinct payload: a broadcast's n sends and n
+        # deliveries share one payload object, which the events keep alive
+        summaries: dict[int, str] = {}
+        return "\n".join(ev.line(summaries) for ev in self.events) + "\n"

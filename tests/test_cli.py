@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
+from squadsim import cli
 from squadsim.cli import main, parse_seed_range
+from squadsim.engine import AdversaryViolation, LivelockError
 from squadsim.metrics import CSV_HEADER
+from squadsim.trace import Trace
 
 
 def run_cli(tmp_path, *args, env_out=None):
@@ -137,3 +142,28 @@ def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args):
     assert code == 2
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [
+    AdversaryViolation("post-GST delay 2 outside (0, delta]"),
+    LivelockError(Trace(4, 1, Fraction(0), Fraction(1), frozenset())),
+], ids=["adversary", "livelock"])
+def test_runtime_error_is_a_reported_failure(tmp_path, monkeypatch, capsys, error):
+    real_run = cli.run_scenario
+
+    def run_or_raise(cfg):
+        if cfg.seed == 0:
+            raise error
+        return real_run(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", run_or_raise)
+    code, out = run_cli(tmp_path, "--n", "4", "--seeds", "0..1")
+    assert code == 1
+    printed = capsys.readouterr()
+    assert (f"[FAIL] squad n=4 seed=0 scenario=happy "
+            f"error={type(error).__name__}: {error}") in printed.out.splitlines()
+    assert "[ok] squad n=4 seed=1" in printed.out
+    assert "Traceback" not in printed.out + printed.err
+    # the failed run has no report, so only seed 1 has a row
+    rows = out.read_text().splitlines()
+    assert rows[0] == CSV_HEADER and [r.split(",")[3] for r in rows[1:]] == ["1"]

@@ -76,6 +76,14 @@ def test_forged_signature_naming_nonsigners_fails(crypto):
     assert not crypto.combined_verify(("epoch", 5), forged)
 
 
+def test_signer_set_with_one_nonsigner_fails(crypto):
+    # enough real signers for the threshold, plus one who never signed
+    partials = [crypto.share_sign(p, ("epoch", 3), "quorum") for p in (1, 2, 3)]
+    tsig = crypto.combine(partials)
+    padded = ThresholdSignature(tsig.digest, tsig.signers | {4}, tsig.scheme)
+    assert not crypto.combined_verify(("epoch", 3), padded)
+
+
 def test_adversary_may_combine_collected_partials(crypto):
     # partials legitimately received can be combined by anyone
     partials = [crypto.share_sign(p, ("epoch", 2), "quorum") for p in (1, 2, 4)]

@@ -1,13 +1,18 @@
 """Event loop ordering, timer generations, delivery legality, determinism."""
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from squadsim.engine import (AdversaryViolation, LivelockError, MaxDelayPolicy,
-                             Simulation)
+from squadsim.engine import (AdversaryViolation, Envelope, LivelockError,
+                             MaxDelayPolicy, Simulation)
 from squadsim.timebase import ClockModel
+from squadsim.trace import TraceEvent
 
 
 @dataclass(frozen=True)
@@ -198,3 +203,111 @@ def test_happy_squad_trace_ends_with_unanimous_decides():
     decides = [ev for ev in res.trace.events if ev.kind == "decide"]
     assert len(decides) >= 3
     assert len({ev.payload for ev in decides}) == 1
+
+
+# -- bucketed event queue against a reference heap ----------------------------
+
+# exact ties are common (small numerators), and denominators mix the ones
+# drifting clocks produce
+_times = st.builds(lambda a, d, b, e: Fraction(a, d) + Fraction(b, e),
+                   st.integers(0, 6), st.sampled_from([1, 2, 3]),
+                   st.integers(0, 2), st.sampled_from([1, 7, 1600]))
+_entry = st.tuples(st.integers(0, 1), st.integers(1, 4))          # rank, pid
+_delays = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1)])
+
+
+class QueueProbe:
+    """Node that records each popped label and, while the queue drains,
+    makes the pushes planned for that label (a zero delay pushes at the
+    current time)."""
+
+    def __init__(self, push, plan, popped):
+        self.push, self.plan, self.popped = push, plan, popped
+
+    def on_start(self, ctx):
+        pass
+
+    def on_deliver(self, ctx, sender, label):
+        self.popped.append((ctx.now, label))
+        for delay, (rank, pid) in self.plan[label] if label < len(self.plan) else ():
+            self.push(ctx.now + delay, rank, pid)
+
+
+def reference_pop_order(initial, plan):
+    heap, popped, labels = [], [], itertools.count()
+    for time, (rank, pid) in initial:
+        heapq.heappush(heap, (time, rank, pid, next(labels)))
+    while heap:
+        time, _, _, label = heapq.heappop(heap)
+        popped.append((time, label))
+        for delay, (rank, pid) in plan[label] if label < len(plan) else ():
+            heapq.heappush(heap, (time + delay, rank, pid, next(labels)))
+    return popped
+
+
+@given(st.lists(st.tuples(_times, _entry), min_size=1, max_size=40),
+       st.lists(st.lists(st.tuples(_delays, _entry), max_size=3), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
+    sim = Simulation(4, 1, Fraction(10), Fraction(1), MaxDelayPolicy())
+    popped, labels = [], itertools.count()
+
+    def push(time, rank, pid):
+        label = next(labels)
+        sim._push(time, rank, pid, "deliver",
+                  Envelope(label, 1, pid, label, time, time, 1))
+
+    probe = QueueProbe(push, plan, popped)
+    for pid in range(1, 5):
+        sim.nodes[pid] = probe
+    for time, (rank, pid) in initial:
+        push(time, rank, pid)
+    sim.run(stop=lambda s: False, horizon=Fraction(100))
+    assert popped == reference_pop_order(initial, plan)
+    assert not sim._times and not sim._buckets
+
+
+def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide():
+    from squadsim import build_simulation, equivocate
+    cfg = equivocate(7, 0, "squad")
+    sim = build_simulation(cfg)
+    checked = []
+
+    def stop(s):
+        rescan = all(p in s.decisions for p in range(1, s.n + 1) if s.is_correct(p))
+        assert s.all_correct_decided() == rescan
+        checked.append(rescan)
+        return rescan
+
+    trace = sim.run(stop, horizon=cfg.horizon)
+    assert trace.decided_all and checked[-1] and len(checked) > 100
+    # the equivocating leader runs the protocol and decides too
+    assert set(sim.decisions) & sim.byzantine
+
+
+@dataclass(frozen=True)
+class Plain:
+    tag: str     # no summary(): rendered with str()
+
+
+@pytest.mark.parametrize("payload, text", [(Ping("a"), "PING(a)"),
+                                           (Plain("b"), "Plain(tag='b')"),
+                                           (7, "7")])
+def test_message_detail_is_rendered_from_the_payload(payload, text):
+    t = Fraction(5, 2)
+    send = TraceEvent(t, 1, "send", None, 2, payload=payload, sender=1,
+                      receiver=3, seq=9)
+    byz = TraceEvent(t, 4, "byz", None, 1, payload=payload, sender=4,
+                     receiver=2, seq=10)
+    deliver = TraceEvent(t, 3, "deliver", None, 0, payload=payload, sender=1,
+                         receiver=3, seq=9)
+    assert send.line() == f"5/2|1|send|{text}->P3#9|2"
+    assert byz.line() == f"5/2|4|byz|{text}->P2#10|1"
+    assert deliver.line() == f"5/2|3|deliver|{text}<-P1#9|0"
+
+
+def test_serialize_equals_per_event_lines():
+    from squadsim import happy, run_scenario
+    trace = run_scenario(happy(4, 0, "squad")).trace
+    assert any(ev.detail is None for ev in trace.events)
+    assert trace.serialize() == "".join(ev.line() + "\n" for ev in trace.events)
