@@ -234,6 +234,9 @@ class ScenarioConfig:
                 raise ValueError(f"{what} ids {sorted(keyed)} are not 1..{self.n}")
         if self.gst < 0:
             raise ValueError("GST must be nonnegative")
+        if self.epsilon < 0:
+            # the view_overlap argument needs views of at least overlap + 2*delta
+            raise ValueError("epsilon must be nonnegative")
         if any(t > self.gst for t in self.start_times.values()):
             raise ValueError("all processes must start by GST")
         for clock in self.clocks.values():

@@ -17,7 +17,12 @@ boundary. Everything is single-threaded and exact:
   silently retires any queued expiration;
 - message delays are chosen by a DelayPolicy at send time and validated
   there: after GST a delay must lie in (0, delta], before GST it only has
-  to be finite.
+  to be finite. The verdict depends only on the send instant and the
+  delivery time, so it is decided once per distinct delivery time in an
+  instant: ``now >= gst`` and ``now + delta`` are computed when ``now``
+  changes, and the delivery keys already found legal at this instant are
+  kept in a set. Only legal results are kept, so every illegal send
+  raises.
 
 Local computation takes zero simulated time: everything a handler emits
 while processing one event happens at the same instant.
@@ -181,6 +186,12 @@ class Simulation:
         self._buckets: dict[tuple[int, int], list[tuple]] = {}  # (rank, pid, seq, tag, data)
         self._seq = 0
 
+        # delivery legality for the instant ``_instant`` (see _send)
+        self._instant: Optional[Fraction] = None
+        self._post_gst = False
+        self._latest: Fraction = Fraction(0)
+        self._legal: set[tuple[int, int]] = set()
+
     # -- wiring ----------------------------------------------------------
 
     def add_node(self, pid: int, node: Node, start_at: SimTime) -> None:
@@ -194,10 +205,10 @@ class Simulation:
 
     def _push(self, time: Fraction, rank: int, pid: int, tag: str, data) -> None:
         self._seq += 1
-        self._enqueue(time, (rank, pid, self._seq, tag, data))
+        self._enqueue(time, (time.numerator, time.denominator),
+                      (rank, pid, self._seq, tag, data))
 
-    def _enqueue(self, time: Fraction, entry: tuple) -> None:
-        key = (time.numerator, time.denominator)
+    def _enqueue(self, time: Fraction, key: tuple[int, int], entry: tuple) -> None:
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [entry]
@@ -211,21 +222,34 @@ class Simulation:
         if words <= 0:
             raise ValueError("message words must be positive")
         self._seq += 1
-        env = Envelope(self._seq, sender, receiver, payload, self.now, self.now, words)
-        deliver_at = Fraction(self.delay_policy.deliver_at(env, self))
-        if env.sent_at >= self.gst:
-            if not (env.sent_at < deliver_at <= env.sent_at + self.delta):
-                raise AdversaryViolation(
-                    f"post-GST delay {deliver_at - env.sent_at} outside (0, delta]")
-        elif deliver_at < env.sent_at:
-            raise AdversaryViolation("delivery before send")
+        now = self.now
+        env = Envelope(self._seq, sender, receiver, payload, now, now, words)
+        deliver_at = self.delay_policy.deliver_at(env, self)
+        if type(deliver_at) is not Fraction:
+            deliver_at = Fraction(deliver_at)
+        key = (deliver_at.numerator, deliver_at.denominator)
+        if now is not self._instant:
+            # identity, not equality: a new instant (or a reassigned now)
+            # always starts a fresh verdict set
+            self._instant = now
+            self._post_gst = now >= self.gst
+            self._latest = now + self.delta
+            self._legal = set()
+        if key not in self._legal:
+            if self._post_gst:
+                if not (now < deliver_at <= self._latest):
+                    raise AdversaryViolation(
+                        f"post-GST delay {deliver_at - now} outside (0, delta]")
+            elif deliver_at < now:
+                raise AdversaryViolation("delivery before send")
+            self._legal.add(key)
         env.deliver_at = deliver_at
-        kind = "send" if self.is_correct(sender) else "byz"
+        kind = "byz" if sender in self.byzantine else "send"
         # detail None: TraceEvent.line renders it from the payload
-        self._log(TraceEvent(self.now, sender, kind, None, words,
+        self._log(TraceEvent(now, sender, kind, None, words,
                              payload=payload, sender=sender,
                              receiver=receiver, seq=env.seq))
-        self._enqueue(deliver_at, (RANK_DELIVERY, receiver, env.seq, "deliver", env))
+        self._enqueue(deliver_at, key, (RANK_DELIVERY, receiver, env.seq, "deliver", env))
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         handle = self.timers[(pid, kind)]

@@ -21,6 +21,16 @@ process, first decisions, sends grouped by sender, emitted messages and
 deliveries, gathered in a single pass over ``trace.events`` and cached
 on the trace (``index_of``). No other code here walks the event list.
 
+Exact predicates are decided once per distinct input and the verdict is
+replayed to every event sharing it: the n copies of a broadcast share one
+send-time object, one delivery-time object and one payload. Delay
+legality is kept per (send time, delivery time) pair, window membership
+per send time, and signature or certificate verification per payload, QC
+or certificate. These memos are keyed by ``id()`` and live only for one
+checker call, while the trace holds every keyed object, so an id cannot
+be reused under them; an equal but distinct object just misses the memo.
+Every event still gets its own violation line.
+
 Bounds are checked with exact rational arithmetic. A few properties are
 promises about infinite executions; their missing-event forms are applied
 only when the (finite) trace demonstrably ran long enough to owe the
@@ -190,18 +200,33 @@ def find_sync_time(trace: Trace, cfg) -> Optional[Fraction]:
     return best
 
 
+def _window_words(trace: Trace, lo: Fraction, hi: Optional[Fraction],
+                  types: Optional[tuple] = None) -> int:
+    """Words of correct sends in [lo, hi] (hi None: unbounded), optionally
+    only of payloads of ``types``. Sends of one instant share their time
+    object, so membership is decided again only when that object changes."""
+    total = 0
+    last = None
+    inside = False
+    for ev in index_of(trace).sends:
+        t = ev.time
+        if t is not last:
+            last = t
+            inside = t >= lo and (hi is None or t <= hi)
+        if inside and (types is None or isinstance(ev.payload, types)):
+            total += ev.words
+    return total
+
+
 def count_words(trace: Trace, gst: Fraction, t_d: Optional[Fraction]) -> int:
     """Words sent by correct processes during [GST, t_d]."""
-    return sum(ev.words for ev in index_of(trace).sends
-               if ev.time >= gst and (t_d is None or ev.time <= t_d))
+    return _window_words(trace, gst, t_d)
 
 
 def sync_window_words(trace: Trace, cfg, t_s: Optional[Fraction]) -> int:
     """Synchronizer-class words sent by correct processes in [GST, t_s + overlap]."""
     hi = None if t_s is None else t_s + cfg.overlap
-    return sum(ev.words for ev in index_of(trace).sends
-               if isinstance(ev.payload, SYNC_MESSAGE_TYPES)
-               and ev.time >= cfg.gst and (hi is None or ev.time <= hi))
+    return _window_words(trace, cfg.gst, hi, SYNC_MESSAGE_TYPES)
 
 
 def handler_tally_words(sent_logs: dict[int, list], trace: Trace,
@@ -403,11 +428,18 @@ def check_conflicting_qcs(trace, cfg, crypto=None):
     seen: dict[tuple, object] = {}
     out = []
     reported = set()
+    verified: dict[int, bool] = {}   # id(qc) -> verdict; the trace keeps each qc
     for ev in index_of(trace).emitted:
         qc = ev.payload.qc if isinstance(ev.payload, CoreMessage) else None
-        if qc is None or (crypto is not None and not crypto.combined_verify(
-                vote_message(qc.phase, qc.value, qc.view), qc.sig)):
+        if qc is None:
             continue
+        if crypto is not None:
+            ok = verified.get(id(qc))
+            if ok is None:
+                ok = verified[id(qc)] = crypto.combined_verify(
+                    vote_message(qc.phase, qc.value, qc.view), qc.sig)
+            if not ok:
+                continue
         key = (qc.phase, qc.view)
         if key in seen and seen[key] != qc.value and key not in reported:
             reported.add(key)
@@ -441,14 +473,29 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
             if isinstance(obj.cert, Certificate):
                 yield obj.cert.tsig
 
+    def forged(tsig):
+        k = threshold.get(tsig.scheme, 0)
+        signed = crypto.signers_for_digest(tsig.scheme, tsig.digest)
+        honest = [s for s in tsig.signers if s in correct and s in signed]
+        if len(honest) < k - cfg.f:
+            return [f"unforgeable_sigs: tsig {tsig.summary()} in a correct "
+                    f"send has only {len(honest)} honest ledgered signers"]
+        return []
+
+    # each distinct payload (and tsig) is checked once, keyed by id: the
+    # trace keeps them alive; every send still reports its own lines
+    per_payload: dict[int, list[str]] = {}
+    per_tsig: dict[int, list[str]] = {}
     for ev in index_of(trace).sends:
-        for tsig in tsigs_in(ev.payload):
-            k = threshold.get(tsig.scheme, 0)
-            signed = crypto.signers_for_digest(tsig.scheme, tsig.digest)
-            honest = [s for s in tsig.signers if s in correct and s in signed]
-            if len(honest) < k - cfg.f:
-                out.append(f"unforgeable_sigs: tsig {tsig.summary()} in a correct "
-                           f"send has only {len(honest)} honest ledgered signers")
+        lines = per_payload.get(id(ev.payload))
+        if lines is None:
+            lines = per_payload[id(ev.payload)] = []
+            for tsig in tsigs_in(ev.payload):
+                found = per_tsig.get(id(tsig))
+                if found is None:
+                    found = per_tsig[id(tsig)] = forged(tsig)
+                lines.extend(found)
+        out.extend(lines)
     return out
 
 
@@ -480,32 +527,62 @@ def check_delay_bounds(trace, cfg, crypto=None):
     out = []
     index = index_of(trace)
     sends = {ev.seq: ev for ev in index.emitted if ev.seq is not None}
+    # (id(send time), id(delivery time)) -> "late", "early" or None; the
+    # copies of a broadcast share both time objects, and the trace keeps
+    # every one of them alive while this runs
+    verdicts: dict[tuple[int, int], Optional[str]] = {}
     for ev in index.delivers:
-        if ev.seq not in sends:
+        sent = sends.get(ev.seq)
+        if sent is None:
             continue
-        sent = sends[ev.seq]
-        delay = ev.time - sent.time
-        if sent.time >= cfg.gst and not (0 < delay <= cfg.delta):
+        key = (id(sent.time), id(ev.time))
+        if key in verdicts:
+            verdict = verdicts[key]
+        else:
+            delay = ev.time - sent.time
+            if sent.time >= cfg.gst and not (0 < delay <= cfg.delta):
+                verdict = "late"
+            elif delay < 0:
+                verdict = "early"
+            else:
+                verdict = None
+            verdicts[key] = verdict
+        if verdict == "late":
             out.append(f"delay_bounds: envelope #{ev.seq} sent {sent.time} "
                        f"delivered {ev.time}")
-        elif delay < 0:
+        elif verdict == "early":
             out.append(f"delay_bounds: envelope #{ev.seq} delivered before sent")
     return out
 
 
+def _verified_cert(payload, crypto):
+    """(value, cert) if the payload carries a certificate that verifies,
+    value None for an any-value one; None otherwise."""
+    if isinstance(payload, CertificateMsg):
+        value, cert = payload.value, payload.cert
+    elif isinstance(payload, CoreMessage) and isinstance(payload.cert, Certificate):
+        value, cert = payload.cert.subject, payload.cert
+    else:
+        return None
+    if crypto.combined_verify(ANY_VALUE_TAG, cert.tsig):
+        return None, cert
+    if value is not None and crypto.combined_verify(value_message(value), cert.tsig):
+        return value, cert
+    return None
+
+
 def _verifying_certs(trace, crypto):
+    """(event, value, cert) per emission of a verifying certificate; each
+    distinct payload is verified once, keyed by id (the trace keeps it)."""
+    verdicts: dict[int, Optional[tuple]] = {}
     for ev in index_of(trace).emitted:
-        certs = []
-        if isinstance(ev.payload, CertificateMsg):
-            certs.append((ev.payload.value, ev.payload.cert))
-        elif isinstance(ev.payload, CoreMessage) and isinstance(ev.payload.cert, Certificate):
-            certs.append((ev.payload.cert.subject, ev.payload.cert))
-        for value, cert in certs:
-            if crypto.combined_verify(ANY_VALUE_TAG, cert.tsig):
-                yield ev, None, cert
-            elif value is not None and crypto.combined_verify(
-                    value_message(value), cert.tsig):
-                yield ev, value, cert
+        key = id(ev.payload)
+        if key in verdicts:
+            hit = verdicts[key]
+        else:
+            hit = verdicts[key] = _verified_cert(ev.payload, crypto)
+        if hit is not None:
+            yield ev, hit[0], hit[1]
 
 
 def check_cert_computability(trace, cfg, crypto=None):

@@ -130,6 +130,7 @@ def test_custom_file_requires_path():
     pytest.param("byzantine=4\nstrategy silent\n", [], id="line-without-equals"),
     pytest.param(None, ["--seeds", "5..1"], id="empty-seeds"),
     pytest.param(None, ["--n", ""], id="empty-n"),
+    pytest.param(None, ["--epsilon", "-1"], id="negative-epsilon"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args):
     argv = ["--protocol", "raresync-quad", "--n", "4"] + args

@@ -134,6 +134,57 @@ def test_pre_gst_delay_only_needs_finiteness():
     assert deliveries[0][1] == Fraction(11)
 
 
+class ScriptedPolicy:
+    """Returns the planned delivery times in order, one per send."""
+
+    def __init__(self, *times):
+        self.times = list(times)
+
+    def deliver_at(self, env, sim):
+        return self.times.pop(0)
+
+
+def test_illegal_send_after_a_legal_one_in_the_same_instant_raises():
+    sim, _ = make_sim(policy=ScriptedPolicy(Fraction(51), Fraction(52)))
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(50)
+    sim.contexts[1].send(2, Ping("ok"))
+    with pytest.raises(AdversaryViolation, match="outside"):
+        sim.contexts[1].send(3, Ping("late"))
+
+
+def test_same_illegal_delivery_time_raises_every_time():
+    sim, _ = make_sim(policy=ScriptedPolicy(Fraction(52), Fraction(52)))
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(50)
+    for receiver in (2, 3):
+        with pytest.raises(AdversaryViolation):
+            sim.contexts[1].send(receiver, Ping("late"))
+
+
+def test_delivery_legal_at_one_instant_is_checked_again_at_the_next():
+    # 52 is legal for a pre-GST send at 5, but 2 past delta at 50
+    sim, _ = make_sim(policy=ScriptedPolicy(Fraction(52), Fraction(52)))
+    sim.now = Fraction(5)
+    sim.contexts[1].send(2, Ping("held"))
+    sim.now = Fraction(50)
+    with pytest.raises(AdversaryViolation):
+        sim.contexts[1].send(2, Ping("late"))
+
+
+def test_int_delivery_time_becomes_a_fraction_and_is_validated():
+    sim, nodes = make_sim(policy=ScriptedPolicy(21, 23))
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(20)
+    sim.contexts[1].send(2, Ping("int"))
+    with pytest.raises(AdversaryViolation):
+        sim.contexts[1].send(3, Ping("int-late"))
+    trace = drain(sim)
+    deliver = next(ev for ev in trace.events if ev.kind == "deliver")
+    assert deliver.time == 21 and type(deliver.time) is Fraction
+    assert [e[1] for e in nodes[2].events if e[0] == "deliver"] == [Fraction(21)]
+
+
 def test_self_send_has_normal_bounds():
     sim, nodes = make_sim()
     drain(sim, horizon=Fraction(15))

@@ -2,13 +2,26 @@
 per checker so none of them can pass vacuously."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from squadsim import happy, run_scenario, worst_case
-from squadsim.metrics import (ALL_CHECKS, check_epoch_budget, check_invariants,
+from squadsim.baselines import WishMsg
+from squadsim.consensus import Certificate, CertificateMsg, value_message
+from squadsim.crypto import CryptoSystem, ThresholdSignature, digest_of
+from squadsim.metrics import (ALL_CHECKS, check_cert_computability,
+                              check_conflicting_qcs, check_delay_bounds,
+                              check_epoch_budget, check_invariants,
+                              check_unforgeable_sigs,
                               count_words, decision_time, find_sync_time,
-                              handler_tally_words, sync_reference_time)
+                              handler_tally_words, sync_reference_time,
+                              sync_window_words)
+from squadsim.raresync import EnterEpochMsg
+from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
+                               QuorumCertificate, vote_message)
 from squadsim.runner import sent_logs
 from squadsim.trace import Trace, TraceEvent
 from tests.planted import PLANTED
@@ -60,6 +73,39 @@ def test_count_words_matches_handler_tally(happy_run):
     logs = sent_logs(happy_run.simulation)
     assert count_words(trace, cfg.gst, t_d) == \
         handler_tally_words(logs, trace, cfg.gst, t_d)
+
+
+# window membership is decided per time object; equal but distinct objects,
+# out-of-order times and both window edges must still count every send
+_edges = [Fraction(49), Fraction(50), Fraction(101, 2), Fraction(60), Fraction(121, 2)]
+_edge_index = st.integers(0, len(_edges) - 1)
+
+
+@given(st.lists(st.tuples(_edge_index, st.booleans(), st.integers(1, 3),
+                          st.sampled_from(["send", "byz"]), st.booleans()),
+                max_size=30),
+       _edge_index, st.one_of(st.none(), _edge_index))
+@settings(max_examples=200, deadline=None)
+def test_window_words_equal_a_per_event_sum(sends, lo_at, hi_at):
+    lo = _edges[lo_at]
+    hi = None if hi_at is None else _edges[hi_at]
+    trace = Trace(4, 1, lo, Fraction(1), frozenset())
+    for at, shared, words, kind, sync in sends:
+        t = _edges[at] if shared else Fraction(_edges[at].numerator,
+                                               _edges[at].denominator)
+        trace.append(TraceEvent(t, 1, kind, "m", words,
+                                payload=WishMsg(2) if sync else "other"))
+
+    def naive(sync_only):
+        return sum(ev.words for ev in trace.events
+                   if ev.kind == "send" and lo <= ev.time
+                   and (hi is None or ev.time <= hi)
+                   and (not sync_only or isinstance(ev.payload, WishMsg)))
+
+    cfg = SimpleNamespace(gst=lo, overlap=Fraction(8))
+    assert count_words(trace, lo, hi) == naive(False)
+    t_s = None if hi is None else hi - cfg.overlap
+    assert sync_window_words(trace, cfg, t_s) == naive(True)
 
 
 def test_find_sync_time_interval_intersection():
@@ -123,6 +169,76 @@ def test_planted_defect_is_flagged(name, wc_run):
     violations = checker(trace, cfg, crypto)
     assert violations, f"{name} checker passed its planted defect"
     assert all(name in v for v in violations)
+
+
+# -- memoized checkers still report once per event ----------------------------
+
+def _broadcast(trace, time, sender, payload, n=4):
+    for receiver in range(1, n + 1):
+        trace.append(TraceEvent(Fraction(time), sender, "send", None, 1,
+                                payload=payload, sender=sender, receiver=receiver))
+
+
+def test_shared_illegal_delay_is_reported_per_delivery():
+    cfg = SimpleNamespace(gst=Fraction(50), delta=Fraction(1))
+    trace = Trace(4, 1, cfg.gst, cfg.delta, frozenset())
+    sent, late, ok = Fraction(60), Fraction(62), Fraction(61)
+    early_sent, early = Fraction(10), Fraction(9)
+    plan = [(sent, late)] * 5 + [(sent, ok)] * 3 + [(early_sent, early)] * 2
+    for seq, (t_send, t_deliver) in enumerate(plan, start=1):
+        trace.append(TraceEvent(t_send, 1, "send", "m", 1, sender=1,
+                                receiver=2, seq=seq))
+        trace.append(TraceEvent(t_deliver, 2, "deliver", "m", 0, sender=1,
+                                receiver=2, seq=seq))
+    out = check_delay_bounds(trace, cfg)
+    late_lines = [v for v in out if "sent 60 delivered 62" in v]
+    assert {v.split("#")[1].split()[0] for v in late_lines} == {"1", "2", "3", "4", "5"}
+    assert sorted(v for v in out if "before sent" in v) == [
+        "delay_bounds: envelope #10 delivered before sent",
+        "delay_bounds: envelope #9 delivered before sent"]
+    assert len(out) == 7
+
+
+def test_forged_broadcast_is_reported_per_copy():
+    crypto = CryptoSystem(4, 1)
+    cfg = SimpleNamespace(f=1)
+    forged = ThresholdSignature("(epoch,3)", frozenset({1, 2, 3}), "quorum")
+    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    _broadcast(trace, 7, 1, EnterEpochMsg(3, forged))
+    # an equal but distinct payload is checked on its own and reported too
+    _broadcast(trace, 8, 2, EnterEpochMsg(3, forged), n=1)
+    out = check_unforgeable_sigs(trace, cfg, crypto)
+    assert len(out) == 5
+    assert len(set(out)) == 1 and "sig((epoch,3),{1,2,3})" in out[0]
+
+
+def test_qc_verdicts_are_kept_per_qc():
+    crypto = CryptoSystem(4, 1)
+    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    # a forged QC first, then two genuine ones with different values: the
+    # forged one's verdict must not stand in for the others
+    forged = QuorumCertificate(PHASE_PREPARE, "x", 5, ThresholdSignature(
+        digest_of(vote_message(PHASE_PREPARE, "x", 5)), frozenset({1, 2, 3}), "quorum"))
+    _broadcast(trace, 1, 2, CoreMessage(PRECOMMIT, 5, qc=forged))
+    for time, value in ((2, "a"), (3, "b")):
+        sig = crypto.combine([crypto.share_sign(p, vote_message(PHASE_PREPARE, value, 5),
+                                                "quorum") for p in (1, 2, 3)])
+        qc = QuorumCertificate(PHASE_PREPARE, value, 5, sig)
+        _broadcast(trace, time, 2, CoreMessage(PRECOMMIT, 5, qc=qc))
+    out = check_conflicting_qcs(trace, None, crypto)
+    assert out == ["conflicting_qcs: prepare QCs for view 5 carry values a and b"]
+
+
+def test_verifying_certificate_is_reported_per_copy():
+    crypto = CryptoSystem(4, 1)
+    cfg = SimpleNamespace(protocol="squad", proposals={p: 5 for p in range(1, 5)})
+    tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
+                           for p in (1, 2)])
+    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    _broadcast(trace, 1, 3, CertificateMsg(8, Certificate(8, tsig)))
+    out = check_cert_computability(trace, cfg, crypto)
+    assert out == ["cert_computability: certificate for 8 appeared despite "
+                   "unanimity on 5"] * 4
 
 
 def test_planted_registry_covers_every_checker():
