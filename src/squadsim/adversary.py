@@ -54,7 +54,11 @@ class ScheduledReleasePolicy:
     Used by the certified worst case: certification messages sent before
     GST are withheld until the receiver's scheduled release time, which
     staggers when processes finish certification. Everything else gets
-    the exact delta delay.
+    the exact delta delay: the engine's ``sim.latest_delivery``, computed
+    once per send instant, so every copy of a broadcast shares one
+    delivery-time object. The GST test is the engine's ``sim.post_gst``
+    too. The policy keeps no per-run state, so a config that holds it
+    does not keep any run alive.
     """
 
     def __init__(self, releases: dict[int, Fraction], held_types: tuple):
@@ -62,10 +66,10 @@ class ScheduledReleasePolicy:
         self.held_types = held_types
 
     def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
-        if (env.sent_at < sim.gst and isinstance(env.payload, self.held_types)
+        if (not sim.post_gst and isinstance(env.payload, self.held_types)
                 and env.receiver in self.releases):
             return max(self.releases[env.receiver], env.sent_at)
-        return env.sent_at + sim.delta
+        return sim.latest_delivery
 
 
 class HoldUntilGstPolicy:
@@ -239,6 +243,8 @@ class ScenarioConfig:
             raise ValueError("epsilon must be nonnegative")
         if any(t > self.gst for t in self.start_times.values()):
             raise ValueError("all processes must start by GST")
+        if any(t < 0 for t in self.start_times.values()):
+            raise ValueError("start times must be nonnegative")
         for clock in self.clocks.values():
             clock.validate(self.gst)
 
@@ -410,11 +416,15 @@ def equivocate(n: int, seed: int, protocol: str = "raresync-quad",
 
 
 def randomized(n: int, seed: int, protocol: str = "raresync-quad",
-               delta=Fraction(1)) -> ScenarioConfig:
-    """Seeded random starts, drift, delays and Byzantine strategy."""
+               delta=Fraction(1), epsilon=None) -> ScenarioConfig:
+    """Seeded random starts, drift, delays and Byzantine strategy.
+
+    GST is drawn per seed, so unlike the other builders this one takes no
+    ``gst``.
+    """
     f = _f_of(n)
     delta = Fraction(delta)
-    epsilon = _default_epsilon(delta)
+    epsilon = _default_epsilon(delta) if epsilon is None else Fraction(epsilon)
     rng = random.Random(seed * 104729 + n)
     gst = delta * (5 + rng.randrange(0, 20 * (f + 1)))
     starts = {p: gst * Fraction(rng.randrange(0, 64), 64) for p in range(1, n + 1)}
@@ -502,6 +512,7 @@ BUILDERS = {
         scenario_s(_f_of(n), seed, protocol, delta, gst, epsilon),
     "equivocate": lambda n, seed, protocol, delta, gst, epsilon:
         equivocate(n, seed, protocol, delta, gst, epsilon),
+    # GST is drawn per seed: the CLI rejects an explicit one for "random"
     "random": lambda n, seed, protocol, delta, gst, epsilon:
-        randomized(n, seed, protocol, delta),
+        randomized(n, seed, protocol, delta, epsilon),
 }

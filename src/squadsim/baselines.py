@@ -6,7 +6,11 @@ to view w+1 as soon as 2f+1 distinct processes have wished for w+1 or
 beyond (a wish for a high view implies willingness for every lower one,
 and catching up cascades without further sends). Wishing still requires
 the sender's own timeout, so a correct process sends n words per view it
-sits through, for a cubic total over Theta(f) views.
+sits through, for a cubic total over Theta(f) views. The wish support
+for the next view is kept as a running count: a WISH adds one only when
+it lifts its sender's highest wish across view + 1, and the count is
+recounted over the stored wishes only when the view advances, so a
+message costs O(1) and a view O(n) instead of O(n) and O(n^2).
 
 The doubling synchronizer never communicates: each view simply lasts
 twice as long as the previous one, starting from beta. Laggards are only
@@ -40,6 +44,7 @@ class AllToAllSync:
         self._advance = advance
         self.view = 1
         self._wishes: dict[int, int] = {}   # sender -> highest view wished
+        self._support = 0   # senders whose highest wish is >= view + 1
 
     def start(self, ctx) -> None:
         ctx.measure("baseline_timer", self.view_duration)
@@ -52,18 +57,18 @@ class AllToAllSync:
     def on_message(self, ctx, sender: int, msg) -> bool:
         if not isinstance(msg, WishMsg):
             return False
-        if msg.view > self._wishes.get(sender, 0):
+        previous = self._wishes.get(sender, 0)
+        if msg.view > previous:
             self._wishes[sender] = msg.view
+            if previous <= self.view < msg.view:
+                self._support += 1
         self._catch_up(ctx)
         return True
 
     def _catch_up(self, ctx) -> None:
-        while True:
-            target = self.view + 1
-            support = sum(1 for w in self._wishes.values() if w >= target)
-            if support < 2 * self.f + 1:
-                return
-            self.view = target
+        while self._support >= 2 * self.f + 1:
+            self.view += 1
+            self._support = sum(1 for w in self._wishes.values() if w > self.view)
             ctx.measure("baseline_timer", self.view_duration)
             ctx.log_advance(self.view)
             self._advance(ctx, self.view)

@@ -32,6 +32,13 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ConfigError, like every other malformed input."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def parse_seed_range(spec: str) -> list[int]:
     """'0..9' or '4' or '1,3,5'."""
     spec = spec.strip()
@@ -69,14 +76,15 @@ def read_config_file(path: str, known) -> dict[str, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="squadsim",
         description="Deterministic partial-synchrony consensus simulator")
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--n", help="comma-separated list of system sizes (each 3f+1)")
     p.add_argument("--delta", help="message delay bound after GST (rational)")
-    p.add_argument("--gst", help="global stabilization time (rational)")
+    p.add_argument("--gst", help="global stabilization time (rational); "
+                   "not with --scenario random, which draws it per seed")
     p.add_argument("--seeds", help="seed range, e.g. 0..9")
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--scenario-file",
@@ -95,17 +103,19 @@ DEFAULTS = {"protocol": "squad", "n": "4", "delta": "1", "gst": "50",
 
 def resolve_options(argv) -> dict:
     args = build_parser().parse_args(argv)
-    opts = dict(DEFAULTS)
-    if args.config:
-        opts.update(read_config_file(args.config, DEFAULTS))
+    given = read_config_file(args.config, DEFAULTS) if args.config else {}
     for key in DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
-            opts[key] = flag
+            given[key] = flag
+    opts = {**DEFAULTS, **given}
     if opts["protocol"] not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {opts['protocol']!r}")
     if opts["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {opts['scenario']!r}")
+    if opts["scenario"] == "random" and "gst" in given:
+        raise ConfigError("an explicit gst does not apply to scenario random: "
+                          "this scenario draws its GST per seed")
     if opts["scenario"] == "custom-file":
         if not opts["scenario_file"]:
             raise ConfigError("--scenario custom-file requires --scenario-file")
@@ -143,8 +153,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:   # argparse error
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit as exc:   # --help
+        return 0 if exc.code in (0, None) else 2
 
     out_path = Path(opts["out"]) if opts["out"] else default_out_path(opts)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,9 +20,12 @@ boundary. Everything is single-threaded and exact:
   to be finite. The verdict depends only on the send instant and the
   delivery time, so it is decided once per distinct delivery time in an
   instant: ``now >= gst`` and ``now + delta`` are computed when ``now``
-  changes, and the delivery keys already found legal at this instant are
-  kept in a set. Only legal results are kept, so every illegal send
-  raises.
+  changes, before the policy is asked, and the delivery keys already
+  found legal at this instant are kept in a set. Only legal results are
+  kept, so every illegal send raises. Policies read the two per-instant
+  values as ``sim.post_gst`` and ``sim.latest_delivery`` instead of
+  recomputing them per copy; a policy that returns ``latest_delivery``
+  gives all n copies of a broadcast one shared ``Fraction`` object.
 
 Local computation takes zero simulated time: everything a handler emits
 while processing one event happens at the same instant.
@@ -192,6 +195,19 @@ class Simulation:
         self._latest: Fraction = Fraction(0)
         self._legal: set[tuple[int, int]] = set()
 
+    # -- per-instant values, read-only for delay policies -----------------
+
+    @property
+    def post_gst(self) -> bool:
+        """Whether the send being decided happens at or after GST."""
+        return self._post_gst
+
+    @property
+    def latest_delivery(self) -> Fraction:
+        """``now + delta`` for the send being decided: the latest legal
+        post-GST delivery time, one object per send instant."""
+        return self._latest
+
     # -- wiring ----------------------------------------------------------
 
     def add_node(self, pid: int, node: Node, start_at: SimTime) -> None:
@@ -223,18 +239,19 @@ class Simulation:
             raise ValueError("message words must be positive")
         self._seq += 1
         now = self.now
+        if now is not self._instant:
+            # identity, not equality: a new instant (or a reassigned now)
+            # always starts a fresh verdict set. Refreshed before the
+            # policy is asked, since it reads post_gst and latest_delivery.
+            self._instant = now
+            self._post_gst = now >= self.gst
+            self._latest = now + self.delta
+            self._legal = set()
         env = Envelope(self._seq, sender, receiver, payload, now, now, words)
         deliver_at = self.delay_policy.deliver_at(env, self)
         if type(deliver_at) is not Fraction:
             deliver_at = Fraction(deliver_at)
         key = (deliver_at.numerator, deliver_at.denominator)
-        if now is not self._instant:
-            # identity, not equality: a new instant (or a reassigned now)
-            # always starts a fresh verdict set
-            self._instant = now
-            self._post_gst = now >= self.gst
-            self._latest = now + self.delta
-            self._legal = set()
         if key not in self._legal:
             if self._post_gst:
                 if not (now < deliver_at <= self._latest):

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from squadsim.baselines import AllToAllSync, DoublingSync, WishMsg
 from squadsim.crypto import CryptoSystem
 from tests.conftest import FakeContext
@@ -53,6 +56,43 @@ def test_duplicate_wishers_counted_once(crypto4):
     for _ in range(5):
         sync.on_message(ctx, 1, WishMsg(2))
     assert log == [1]
+
+
+class RecountingSync:
+    """Reference all-to-all catch-up: recounts every stored wish for each
+    candidate view, as a direct reading of the quorum rule."""
+
+    def __init__(self, f):
+        self.f = f
+        self.view = 1
+        self.wishes = {}
+        self.log = []
+
+    def on_message(self, sender, view):
+        if view > self.wishes.get(sender, 0):
+            self.wishes[sender] = view
+        while sum(1 for w in self.wishes.values() if w >= self.view + 1) >= 2 * self.f + 1:
+            self.view += 1
+            self.log.append(self.view)
+
+
+# stale (0, 1), duplicate and far-ahead wishes, from a handful of senders
+_wishes = st.lists(st.tuples(st.integers(1, 7), st.integers(0, 12)), max_size=60)
+
+
+@given(_wishes)
+@settings(max_examples=300, deadline=None)
+def test_running_support_matches_a_full_recount(wishes):
+    crypto = CryptoSystem(7, 2)
+    ctx = FakeContext(crypto)
+    sync, log = make_a2a(crypto)
+    sync.start(ctx)
+    reference = RecountingSync(crypto.f)
+    for sender, view in wishes:
+        sync.on_message(ctx, sender, WishMsg(view))
+        reference.on_message(sender, view)
+        assert log == [1] + reference.log
+        assert sync.view == reference.view
 
 
 def test_doubling_durations():

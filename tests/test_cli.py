@@ -1,6 +1,13 @@
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from squadsim import cli
 from squadsim.cli import main, parse_seed_range
@@ -121,28 +128,137 @@ def test_custom_file_requires_path():
     assert main(["--scenario", "custom-file"]) == 2
 
 
-@pytest.mark.parametrize("scenario, args", [
-    pytest.param("drift=0\n", [], id="zero-drift"),
-    pytest.param("drift=1/0\n", [], id="zero-denominator"),
-    pytest.param("byzantine=9\n", [], id="byzantine-id-out-of-range"),
-    pytest.param("drift=9:2\n", [], id="drift-id-out-of-range"),
-    pytest.param("bogus=1\n", [], id="unknown-scenario-key"),
-    pytest.param("byzantine=4\nstrategy silent\n", [], id="line-without-equals"),
-    pytest.param(None, ["--seeds", "5..1"], id="empty-seeds"),
-    pytest.param(None, ["--n", ""], id="empty-n"),
-    pytest.param(None, ["--epsilon", "-1"], id="negative-epsilon"),
+@pytest.mark.parametrize("scenario, args, config, message", [
+    pytest.param("drift=0\n", [], None, "", id="zero-drift"),
+    pytest.param("drift=1/0\n", [], None, "", id="zero-denominator"),
+    pytest.param("byzantine=9\n", [], None, "", id="byzantine-id-out-of-range"),
+    pytest.param("drift=9:2\n", [], None, "", id="drift-id-out-of-range"),
+    pytest.param("bogus=1\n", [], None, "", id="unknown-scenario-key"),
+    pytest.param("byzantine=4\nstrategy silent\n", [], None, "",
+                 id="line-without-equals"),
+    pytest.param("start=-3\n", [], None, "nonnegative", id="negative-start"),
+    pytest.param(None, ["--seeds", "5..1"], None, "", id="empty-seeds"),
+    pytest.param(None, ["--n", ""], None, "", id="empty-n"),
+    pytest.param(None, ["--epsilon", "-1"], None, "", id="negative-epsilon"),
+    pytest.param(None, ["--scenario", "random", "--epsilon", "-1"], None,
+                 "epsilon", id="random-negative-epsilon"),
+    pytest.param(None, ["--scenario", "random", "--gst", "50"], None,
+                 "draws its GST per seed", id="random-gst-flag"),
+    pytest.param(None, ["--scenario", "random"], "gst=7\n",
+                 "draws its GST per seed", id="random-gst-config-key"),
+    pytest.param(None, ["--scenario", "nope"], None, "invalid choice",
+                 id="unknown-scenario-flag"),
 ])
-def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args):
+def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args,
+                                         config, message):
     argv = ["--protocol", "raresync-quad", "--n", "4"] + args
     if scenario is not None:
         scen = tmp_path / "scenario.cfg"
         scen.write_text(scenario)
         argv += ["--scenario", "custom-file", "--scenario-file", str(scen)]
+    if config is not None:
+        conf = tmp_path / "run.cfg"
+        conf.write_text(config)
+        argv += ["--config", str(conf)]
     code, out = run_cli(tmp_path, *argv)
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "Traceback" not in err
+    assert message in err
     assert not out.exists()
+
+
+# -- the input contract over random flag sets and scenario files ---------------
+
+# well-formed and malformed values per option; n stays <= 7 and at most
+# two seeds run, so one example costs a few small runs
+_FLAG_VALUES = {
+    "protocol": (["squad", "raresync-quad", "alltoall", "doubling"], ["paxos"]),
+    "scenario": (["happy", "worst_case", "scenario_s", "equivocate", "random"],
+                 ["nope"]),
+    "n": (["4", "7", "4,7"], ["5", "1", "", "x"]),
+    "seeds": (["0", "3", "0..1", "1,2"], ["5..1", "", "y"]),
+    "gst": (["0", "7/2", "20"], ["-1", "1/0", "z"]),
+    "epsilon": (["0", "1/100", "3", ""], ["-1", "e"]),
+    "delta": (["1", "1/2"], ["0", "-2", "d"]),
+}
+_SCENARIO_VALUES = {
+    "byzantine": (["", "4", "2,3"], ["9", "0", "-1", "b"]),
+    "strategy": (["silent", "equivocate", "spam_enter_epoch", "cert_attack"], ["evil"]),
+    "proposals": (["distinct", "9"], ["p"]),
+    "drift": (["1/2", "2", "1:1/3"], ["0", "-1", "9:2", "1/0", "r"]),
+    "policy": (["max", "jitter", "random"], ["slow"]),
+    "start": (["0", "3", "1:2"], ["-3", "100", "9:1", "s"]),
+}
+# malformations of the scenario file itself rather than of one value
+_BAD_FILE = ("missing-file", "bogus=1", "no equals sign")
+
+
+@st.composite
+def cli_inputs(draw):
+    """(flags, config-file lines, scenario-file text) for one CLI call.
+
+    At most one option is malformed (none in about a third of the calls),
+    so each malformed value reaches its own check instead of hiding behind
+    an earlier one. Every option that is drawn goes on the command line or
+    into a --config file; at least half the calls use a custom-file
+    scenario."""
+    bad = draw(st.sampled_from([None] * 8 + [*_FLAG_VALUES, *_SCENARIO_VALUES,
+                                             *_BAD_FILE]))
+    custom = bad in _SCENARIO_VALUES or bad in _BAD_FILE or draw(st.booleans())
+
+    def value(key, choices):
+        good, malformed = choices
+        return draw(st.sampled_from(malformed if key == bad else good))
+
+    flags, config = [], []
+    for key, choices in _FLAG_VALUES.items():
+        if key == "scenario" and custom:
+            text = "custom-file"
+        elif key == bad or draw(st.booleans()):
+            text = value(key, choices)
+        else:
+            continue
+        if draw(st.booleans()):
+            flags += [f"--{key}", text]
+        else:
+            config.append(f"{key}={text}")
+    if not custom or bad == "missing-file":
+        return flags, config, None
+    lines = [f"{key}={value(key, choices)}" for key, choices in _SCENARIO_VALUES.items()
+             if key == bad or draw(st.booleans())]
+    if bad in _BAD_FILE:
+        lines.append(bad)
+    return flags, config, "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@given(cli_inputs())
+@settings(max_examples=300, deadline=None)
+def test_any_input_ends_in_a_documented_exit(inputs):
+    flags, config, scenario = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(flags) + ["--out", os.path.join(tmp, "o.csv")]
+        # one seed at n=4 unless drawn: the default seed range runs five
+        if not any(line.startswith("n=") for line in config) and "--n" not in flags:
+            argv += ["--n", "4"]
+        if not any(line.startswith("seeds=") for line in config) and "--seeds" not in flags:
+            argv += ["--seeds", "0"]
+        if config:
+            path = os.path.join(tmp, "run.cfg")
+            Path(path).write_text("\n".join(config) + "\n")
+            argv += ["--config", path]
+        if scenario is not None:
+            path = os.path.join(tmp, "scenario.cfg")
+            Path(path).write_text(scenario)
+            argv += ["--scenario-file", path]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err + out.getvalue()
+    if code == 2:
+        assert "config error" in err, (argv, err)
 
 
 @pytest.mark.parametrize("error", [

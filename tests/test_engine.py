@@ -1,7 +1,9 @@
 """Event loop ordering, timer generations, delivery legality, determinism."""
 
+import gc
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from squadsim.adversary import ScheduledReleasePolicy
 from squadsim.engine import (AdversaryViolation, Envelope, LivelockError,
                              MaxDelayPolicy, Simulation)
 from squadsim.timebase import ClockModel
@@ -183,6 +186,46 @@ def test_int_delivery_time_becomes_a_fraction_and_is_validated():
     deliver = next(ev for ev in trace.events if ev.kind == "deliver")
     assert deliver.time == 21 and type(deliver.time) is Fraction
     assert [e[1] for e in nodes[2].events if e[0] == "deliver"] == [Fraction(21)]
+
+
+def test_policy_reads_values_of_the_current_instant_after_reassignment():
+    # a held Ping sent before GST waits for the release at 12; once now is
+    # reassigned past GST the policy must see post_gst and 50 + delta, not
+    # the values left over from the send at 5
+    policy = ScheduledReleasePolicy({2: Fraction(12)}, (Ping,))
+    sim, _ = make_sim(policy=policy)
+    sim.now = Fraction(5)
+    sim.contexts[1].send(2, Ping("held"))
+    sim.now = Fraction(50)
+    sim.contexts[1].send(2, Ping("after"))
+    queued = {entry[4].payload.tag: entry[4].deliver_at
+              for bucket in sim._buckets.values() for entry in bucket
+              if entry[3] == "deliver"}
+    assert queued == {"held": Fraction(12), "after": Fraction(51)}
+
+
+def test_broadcast_copies_share_one_delivery_time_object():
+    sim, _ = make_sim(policy=ScheduledReleasePolicy({}, ()))
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(20)
+    sim.contexts[1].broadcast(Ping("all"))
+    sim.now = Fraction(30)
+    sim.contexts[1].broadcast(Ping("next"))
+    times = [entry[4].deliver_at for bucket in sim._buckets.values()
+             for entry in bucket]
+    assert sorted(times) == [Fraction(21)] * 4 + [Fraction(31)] * 4
+    assert len({id(t) for t in times}) == 2
+
+
+def test_finished_run_is_not_kept_alive_by_its_config():
+    from squadsim import run_scenario, worst_case
+    cfg = worst_case(4, 0, "squad")
+    result = run_scenario(cfg)
+    sim = weakref.ref(result.simulation)
+    del result
+    gc.collect()
+    assert sim() is None
+    assert cfg.policy.releases   # the config itself is still in use
 
 
 def test_self_send_has_normal_bounds():
