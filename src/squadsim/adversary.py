@@ -9,9 +9,18 @@ view plus the leaders of the earliest views of the next epoch; round
 robin then forces the run to grind through the maximum number of views
 after GST before a correct leader meets a fully aligned epoch. The
 non-adaptiveness scenario places three all-correct groups in different
-views of one epoch at GST using clock drift alone. Delay policies choose
-each envelope's delivery time at send time; after GST every choice is
-validated against the delta bound.
+views of one epoch at GST using clock drift alone. Every builder takes
+``(n, seed, protocol, delta, gst=None, epsilon=None)``; ``gst=None`` means
+the scenario's own default, and ``randomized`` rejects any other value
+since it draws GST per seed. Horizons, GSTs and clock activations are
+built from ``ScenarioConfig.view_duration``, the one place the view
+duration is computed.
+
+Delay policies choose each envelope's delivery time at send time; after
+GST every choice is validated against the delta bound. All jittered
+delays come from ``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and
+``RandomizedPolicy`` are presets of it. ``ScheduledReleasePolicy`` and the
+engine's ``MaxDelayPolicy`` give exact delta delays.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crypto import ThresholdSignature
-from .engine import Envelope, Simulation
+from .engine import Envelope, MaxDelayPolicy, Simulation
 from .raresync import EnterEpochMsg, leader
 from .timebase import ClockModel
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
@@ -36,16 +45,47 @@ STRATEGIES = ("silent", "equivocate", "spam_enter_epoch", "cert_attack")
 # --------------------------------------------------------------------------
 
 class JitterDelayPolicy:
-    """Seeded delays in (0, delta] after GST; pre-GST capped at GST + delta."""
+    """Seeded jittered delays: one ``randrange`` step per envelope.
+
+    After GST the delay is ``delta * step / RES`` with step in 1..RES.
+    Before GST the step lies in 1..``pre_gst_steps``; a payload of one of
+    ``held_types`` is withheld until ``gst + delay``, anything else arrives
+    at ``sent_at + delay`` but no later than ``gst + delta``. Like
+    ``ScheduledReleasePolicy`` it reads the engine's ``sim.post_gst`` and
+    keeps no per-run state.
+    """
 
     RES = 64
 
+    def __init__(self, held_types: tuple = (), pre_gst_steps: int = RES):
+        self.held_types = held_types
+        self.pre_gst_steps = pre_gst_steps
+
     def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
-        step = sim.rng.randrange(1, self.RES + 1)
-        delay = sim.delta * Fraction(step, self.RES)
-        if env.sent_at >= sim.gst:
+        post_gst = sim.post_gst
+        steps = self.RES if post_gst else self.pre_gst_steps
+        delay = sim.delta * Fraction(sim.rng.randrange(1, steps + 1), self.RES)
+        if post_gst:
             return env.sent_at + delay
+        if isinstance(env.payload, self.held_types):
+            return sim.gst + delay
         return min(env.sent_at + delay, sim.gst + sim.delta)
+
+
+class HoldUntilGstPolicy(JitterDelayPolicy):
+    """Jitter, with view-core messages sent before GST held until just after
+    it: a scattered placement cannot finish a view pre-GST, so the decision
+    can only come from synchronization after stabilization."""
+
+    def __init__(self):
+        super().__init__(held_types=(CoreMessage,))
+
+
+class RandomizedPolicy(JitterDelayPolicy):
+    """Jitter, with pre-GST delays of up to 4*delta (still capped at GST + delta)."""
+
+    def __init__(self):
+        super().__init__(pre_gst_steps=4 * JitterDelayPolicy.RES)
 
 
 class ScheduledReleasePolicy:
@@ -70,43 +110,6 @@ class ScheduledReleasePolicy:
                 and env.receiver in self.releases):
             return max(self.releases[env.receiver], env.sent_at)
         return sim.latest_delivery
-
-
-class HoldUntilGstPolicy:
-    """Withhold selected message classes sent before GST until just after it.
-
-    Keeps a scattered placement meaningful: the view core cannot finish a
-    view pre-GST, so the decision can only come from synchronization after
-    stabilization. Everything else travels with jittered legal delays.
-    """
-
-    RES = 64
-
-    def __init__(self, held_types: tuple):
-        self.held_types = held_types
-
-    def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
-        step = sim.rng.randrange(1, self.RES + 1)
-        delay = sim.delta * Fraction(step, self.RES)
-        if env.sent_at < sim.gst and isinstance(env.payload, self.held_types):
-            return sim.gst + delay
-        if env.sent_at >= sim.gst:
-            return env.sent_at + delay
-        return min(env.sent_at + delay, sim.gst + sim.delta)
-
-
-class RandomizedPolicy:
-    """Arbitrary finite delays before GST, uniform (0, delta] after."""
-
-    RES = 64
-
-    def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
-        if env.sent_at >= sim.gst:
-            step = sim.rng.randrange(1, self.RES + 1)
-            return env.sent_at + sim.delta * Fraction(step, self.RES)
-        step = sim.rng.randrange(1, 4 * self.RES + 1)
-        delay = sim.delta * Fraction(step, self.RES)   # up to 4*delta
-        return min(env.sent_at + delay, sim.gst + sim.delta)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +212,7 @@ class ScenarioConfig:
     start_times: dict[int, Fraction]
     clocks: dict[int, ClockModel]
     policy: object
-    horizon: Fraction
+    horizon_slack: int = 40       # deltas of run time past three epochs after GST
     beta: Fraction = Fraction(1)
 
     @property
@@ -218,11 +221,17 @@ class ScenarioConfig:
 
     @property
     def view_duration(self) -> Fraction:
+        """The one view-duration formula: every synchronizer timer and
+        every latency bound is a multiple of it."""
         return self.overlap + 2 * self.delta + self.epsilon
 
     @property
     def epoch_duration(self) -> Fraction:
         return (self.f + 1) * self.view_duration
+
+    @property
+    def horizon(self) -> Fraction:
+        return self.gst + 3 * self.epoch_duration + self.horizon_slack * self.delta
 
     def validate(self) -> None:
         if self.n != 3 * self.f + 1:
@@ -256,24 +265,24 @@ def _f_of(n: int) -> int:
     return f
 
 
-def _default_epsilon(delta: Fraction) -> Fraction:
-    return Fraction(delta) / 100
+def _sizes(n: int, delta, epsilon) -> tuple[int, Fraction, Fraction]:
+    """f, and delta and epsilon (default delta/100) as exact values."""
+    delta = Fraction(delta)
+    return _f_of(n), delta, delta / 100 if epsilon is None else Fraction(epsilon)
 
 
 def happy(n: int, seed: int, protocol: str = "raresync-quad",
-          delta=Fraction(1), gst=Fraction(50), epsilon=None) -> ScenarioConfig:
-    """All correct, synchronized start at GST, jittered legal delays."""
-    f = _f_of(n)
-    delta, gst = Fraction(delta), Fraction(gst)
-    epsilon = _default_epsilon(delta) if epsilon is None else Fraction(epsilon)
+          delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
+    """All correct, synchronized start at GST (default 50), jittered legal delays."""
+    f, delta, epsilon = _sizes(n, delta, epsilon)
+    gst = Fraction(50 if gst is None else gst)
     cfg = ScenarioConfig(
         name="happy", protocol=protocol, n=n, f=f, delta=delta, gst=gst,
         epsilon=epsilon, seed=seed, byzantine=frozenset(), strategy="silent",
         proposals={p: 100 + p for p in range(1, n + 1)},
         start_times={p: gst for p in range(1, n + 1)},
         clocks={p: ClockModel.constant(p) for p in range(1, n + 1)},
-        policy=JitterDelayPolicy(),
-        horizon=gst + 3 * (f + 1) * (10 * delta + epsilon) + 40 * delta)
+        policy=JitterDelayPolicy())
     cfg.validate()
     return cfg
 
@@ -294,18 +303,17 @@ def _stagger_offsets(correct: list[int], delta: Fraction, seed: int) -> dict[int
 
 
 def worst_case(n: int, seed: int, protocol: str = "squad",
-               delta=Fraction(1), gst=Fraction(50), epsilon=None) -> ScenarioConfig:
+               delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
     """Maximum-latency construction for the epoch-based synchronizer.
 
     Correct processes reach the first epoch staggered across ~2.5*delta,
     so its views never overlap long enough; the silent Byzantine set
     covers the one view in which everyone provably dwells (the epoch's
-    last) and the earliest views of the following epoch.
+    last) and the earliest views of the following epoch. GST defaults to
+    50 and is at least 5*delta.
     """
-    f = _f_of(n)
-    delta, gst = Fraction(delta), Fraction(gst)
-    gst = max(gst, 5 * delta)
-    epsilon = _default_epsilon(delta) if epsilon is None else Fraction(epsilon)
+    f, delta, epsilon = _sizes(n, delta, epsilon)
+    gst = max(Fraction(50 if gst is None else gst), 5 * delta)
     if protocol == "alltoall":
         # quorum-gated view exits realign everyone each view; the first f
         # views after the initial one are the ones to corrupt
@@ -331,22 +339,20 @@ def worst_case(n: int, seed: int, protocol: str = "squad",
     else:
         for p in range(1, n + 1):
             starts[p] = gst - offsets.get(p, delta / 2)
-        policy = ScheduledReleasePolicy({}, ())   # plain exact-delta delays
+        policy = MaxDelayPolicy()
 
-    view_d = 8 * delta + 2 * delta + epsilon
     cfg = ScenarioConfig(
         name="worst_case", protocol=protocol, n=n, f=f, delta=delta, gst=gst,
         epsilon=epsilon, seed=seed, byzantine=byz, strategy="silent",
         proposals={p: 7 for p in range(1, n + 1)},
         start_times=starts,
         clocks={p: ClockModel.constant(p) for p in range(1, n + 1)},
-        policy=policy,
-        horizon=gst + 3 * (f + 1) * view_d + 40 * delta)
+        policy=policy)
     cfg.validate()
     return cfg
 
 
-def scenario_s(f: int, seed: int, protocol: str = "raresync-quad",
+def scenario_s(n: int, seed: int, protocol: str = "raresync-quad",
                delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
     """Three all-correct groups sit in different views of one epoch at GST.
 
@@ -356,15 +362,20 @@ def scenario_s(f: int, seed: int, protocol: str = "raresync-quad",
     drift: everyone starts at time 0 with a near-zero rate and speeds up
     to rate 1 at a staggered activation instant. Synchronization inside
     that epoch is impossible; it lands in the next one, after the full
-    epoch-boundary exchange.
+    epoch-boundary exchange. GST is at least 3 views plus delta, which is
+    also its default.
     """
-    if f < 1:
-        raise ValueError("f >= 1 required")
-    n = 3 * f + 1
-    delta = Fraction(delta)
-    epsilon = _default_epsilon(delta) if epsilon is None else Fraction(epsilon)
-    view_d = 10 * delta + epsilon
-    gst = (3 * view_d + delta) if gst is None else max(Fraction(gst), 3 * view_d + delta)
+    f, delta, epsilon = _sizes(n, delta, epsilon)
+    pids = list(range(1, n + 1))
+    cfg = ScenarioConfig(
+        name="scenario_s", protocol=protocol, n=n, f=f, delta=delta,
+        gst=Fraction(0), epsilon=epsilon, seed=seed, byzantine=frozenset(),
+        strategy="silent", proposals={p: 200 + p for p in pids},
+        start_times={p: Fraction(0) for p in pids}, clocks={},
+        policy=HoldUntilGstPolicy())
+    view_d = cfg.view_duration
+    earliest = 3 * view_d + delta
+    cfg.gst = earliest if gst is None else max(Fraction(gst), earliest)
 
     # Group A lags in the first view, B in the second, C (f+1 processes) in
     # the third (for f = 1, whose epochs have two views, C shares the
@@ -374,7 +385,7 @@ def scenario_s(f: int, seed: int, protocol: str = "raresync-quad",
     # epoch boundary pulls everyone forward.
     dwell_view = f + 1
     dwell_leader = leader(dwell_view, n)
-    ordered = [dwell_leader] + [p for p in range(1, n + 1) if p != dwell_leader]
+    ordered = [dwell_leader] + [p for p in pids if p != dwell_leader]
     group_view = {}
     for i, p in enumerate(ordered):
         if i < f:
@@ -383,29 +394,18 @@ def scenario_s(f: int, seed: int, protocol: str = "raresync-quad",
             group_view[p] = 2
         else:
             group_view[p] = min(3, f + 1)
-    pids = list(range(1, n + 1))
     slow = Fraction(1, 1024)
-    clocks = {}
     for p in pids:
         k = group_view[p]
-        activation = gst - (k - 1) * view_d - view_d / 2
-        clocks[p] = ClockModel.piecewise(p, [(Fraction(0), slow),
-                                             (activation, Fraction(1))], gst)
-    from .viewcore import CoreMessage as _CoreMessage
-    cfg = ScenarioConfig(
-        name="scenario_s", protocol=protocol, n=n, f=f, delta=delta, gst=gst,
-        epsilon=epsilon, seed=seed, byzantine=frozenset(), strategy="silent",
-        proposals={p: 200 + p for p in pids},
-        start_times={p: Fraction(0) for p in pids},
-        clocks=clocks,
-        policy=HoldUntilGstPolicy((_CoreMessage,)),
-        horizon=gst + 3 * (f + 1) * view_d + 40 * delta)
+        activation = cfg.gst - (k - 1) * view_d - view_d / 2
+        cfg.clocks[p] = ClockModel.piecewise(p, [(Fraction(0), slow),
+                                                 (activation, Fraction(1))], cfg.gst)
     cfg.validate()
     return cfg
 
 
 def equivocate(n: int, seed: int, protocol: str = "raresync-quad",
-               delta=Fraction(1), gst=Fraction(50), epsilon=None) -> ScenarioConfig:
+               delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
     """Synchronized start with the first view's leader equivocating."""
     cfg = happy(n, seed, protocol, delta, gst, epsilon)
     cfg.name = "equivocate"
@@ -416,15 +416,15 @@ def equivocate(n: int, seed: int, protocol: str = "raresync-quad",
 
 
 def randomized(n: int, seed: int, protocol: str = "raresync-quad",
-               delta=Fraction(1), epsilon=None) -> ScenarioConfig:
+               delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
     """Seeded random starts, drift, delays and Byzantine strategy.
 
-    GST is drawn per seed, so unlike the other builders this one takes no
-    ``gst``.
+    GST is drawn per seed, so an explicit ``gst`` is an error.
     """
-    f = _f_of(n)
-    delta = Fraction(delta)
-    epsilon = _default_epsilon(delta) if epsilon is None else Fraction(epsilon)
+    if gst is not None:
+        raise ValueError("an explicit gst does not apply to scenario random: "
+                         "this scenario draws its GST per seed")
+    f, delta, epsilon = _sizes(n, delta, epsilon)
     rng = random.Random(seed * 104729 + n)
     gst = delta * (5 + rng.randrange(0, 20 * (f + 1)))
     starts = {p: gst * Fraction(rng.randrange(0, 64), 64) for p in range(1, n + 1)}
@@ -438,13 +438,11 @@ def randomized(n: int, seed: int, protocol: str = "raresync-quad",
         proposals = {p: 7 for p in range(1, n + 1)}
     else:
         proposals = {p: rng.randrange(0, 5) for p in range(1, n + 1)}
-    view_d = 10 * delta + epsilon
     cfg = ScenarioConfig(
         name="random", protocol=protocol, n=n, f=f, delta=delta, gst=gst,
         epsilon=epsilon, seed=seed, byzantine=byz, strategy=strategy,
         proposals=proposals, start_times=starts, clocks=clocks,
-        policy=RandomizedPolicy(),
-        horizon=gst + 3 * (f + 1) * view_d + 60 * delta)
+        policy=RandomizedPolicy(), horizon_slack=60)
     cfg.validate()
     return cfg
 
@@ -453,13 +451,13 @@ SCENARIO_KEYS = ("byzantine", "strategy", "proposals", "drift", "policy", "start
 
 
 def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
-                delta=Fraction(1), gst=Fraction(50), epsilon=None) -> ScenarioConfig:
+                delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
     """Scenario described by the key=value pairs of a flat file.
 
     Recognized keys: byzantine (comma-separated ids), strategy, proposals
     (an integer for unanimity or 'distinct'), drift (single pre-GST rate or
     'pid:rate' pairs), policy (max | jitter | random), start (single time
-    or 'pid:time' pairs, all at most GST).
+    or 'pid:time' pairs, all at most GST). Everything else is ``happy``'s.
     """
     cfg = happy(n, seed, protocol, delta, gst, epsilon)
     cfg.name = "custom-file"
@@ -493,7 +491,6 @@ def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
                     cfg.start_times[p] = Fraction(part)
     policy = fields.get("policy", "jitter")
     if policy == "max":
-        from .engine import MaxDelayPolicy
         cfg.policy = MaxDelayPolicy()
     elif policy == "random":
         cfg.policy = RandomizedPolicy()
@@ -503,16 +500,5 @@ def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
     return cfg
 
 
-BUILDERS = {
-    "happy": lambda n, seed, protocol, delta, gst, epsilon:
-        happy(n, seed, protocol, delta, gst, epsilon),
-    "worst_case": lambda n, seed, protocol, delta, gst, epsilon:
-        worst_case(n, seed, protocol, delta, gst, epsilon),
-    "scenario_s": lambda n, seed, protocol, delta, gst, epsilon:
-        scenario_s(_f_of(n), seed, protocol, delta, gst, epsilon),
-    "equivocate": lambda n, seed, protocol, delta, gst, epsilon:
-        equivocate(n, seed, protocol, delta, gst, epsilon),
-    # GST is drawn per seed: the CLI rejects an explicit one for "random"
-    "random": lambda n, seed, protocol, delta, gst, epsilon:
-        randomized(n, seed, protocol, delta, epsilon),
-}
+BUILDERS = {"happy": happy, "worst_case": worst_case, "scenario_s": scenario_s,
+            "equivocate": equivocate, "random": randomized}

@@ -34,13 +34,12 @@ class WishMsg:
 
 
 class AllToAllSync:
-    def __init__(self, pid: int, n: int, f: int, delta: Fraction,
-                 overlap: Fraction, epsilon: Fraction,
+    def __init__(self, pid: int, n: int, f: int, view_duration: Fraction,
                  advance: Callable[[object, int], None]):
         self.pid = pid
         self.n = n
         self.f = f
-        self.view_duration = Fraction(overlap) + 2 * Fraction(delta) + Fraction(epsilon)
+        self.view_duration = Fraction(view_duration)
         self._advance = advance
         self.view = 1
         self._wishes: dict[int, int] = {}   # sender -> highest view wished

@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--n", help="comma-separated list of system sizes (each 3f+1)")
     p.add_argument("--delta", help="message delay bound after GST (rational)")
-    p.add_argument("--gst", help="global stabilization time (rational); "
-                   "not with --scenario random, which draws it per seed")
+    p.add_argument("--gst", help="global stabilization time (rational); default "
+                   "the scenario's own; not with --scenario random, which "
+                   "draws it per seed")
     p.add_argument("--seeds", help="seed range, e.g. 0..9")
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--scenario-file",
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-DEFAULTS = {"protocol": "squad", "n": "4", "delta": "1", "gst": "50",
+DEFAULTS = {"protocol": "squad", "n": "4", "delta": "1", "gst": None,
             "seeds": "0..4", "scenario": "happy", "scenario_file": None,
             "epsilon": None, "out": None, "trace_dir": None}
 
@@ -113,9 +114,6 @@ def resolve_options(argv) -> dict:
         raise ConfigError(f"unknown protocol {opts['protocol']!r}")
     if opts["scenario"] not in SCENARIOS:
         raise ConfigError(f"unknown scenario {opts['scenario']!r}")
-    if opts["scenario"] == "random" and "gst" in given:
-        raise ConfigError("an explicit gst does not apply to scenario random: "
-                          "this scenario draws its GST per seed")
     if opts["scenario"] == "custom-file":
         if not opts["scenario_file"]:
             raise ConfigError("--scenario custom-file requires --scenario-file")
@@ -125,7 +123,8 @@ def resolve_options(argv) -> dict:
         opts["n_list"] = parse_n_list(opts["n"])
         opts["seed_list"] = parse_seed_range(str(opts["seeds"]))
         opts["delta_frac"] = Fraction(str(opts["delta"]))
-        opts["gst_frac"] = Fraction(str(opts["gst"]))
+        opts["gst_frac"] = (None if opts["gst"] is None      # the scenario's default
+                            else Fraction(str(opts["gst"])))
         opts["epsilon_frac"] = (None if opts["epsilon"] in (None, "")
                                 else Fraction(str(opts["epsilon"])))
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,7 +136,7 @@ def resolve_options(argv) -> dict:
             raise ConfigError(f"n={n} is not 3f+1 for integer f >= 1")
     if opts["delta_frac"] <= 0:
         raise ConfigError("delta must be positive")
-    if opts["gst_frac"] < 0:
+    if opts["gst_frac"] is not None and opts["gst_frac"] < 0:
         raise ConfigError("GST must be nonnegative")
     return opts
 

@@ -159,8 +159,7 @@ class ProtocolNode:
 
     def __init__(self, pid: int, n: int, f: int, crypto: CryptoSystem,
                  proposal, synchronizer: str, delta: Fraction,
-                 overlap: Fraction, epsilon: Fraction,
-                 certified: bool = False, beta: Fraction = Fraction(1),
+                 view_duration: Fraction, certified: bool = False, beta: Fraction = Fraction(1),
                  core_factory=None):
         self.pid = pid
         self.n = n
@@ -175,10 +174,10 @@ class ProtocolNode:
                                  on_decide=lambda ctx, v: ctx.decide(v),
                                  cert_validator=validator)
         if synchronizer == "raresync":
-            self.sync = RareSync(pid, n, f, delta, overlap, epsilon,
+            self.sync = RareSync(pid, n, f, delta, view_duration,
                                  advance=self._on_advance)
         elif synchronizer == "alltoall":
-            self.sync = AllToAllSync(pid, n, f, delta, overlap, epsilon,
+            self.sync = AllToAllSync(pid, n, f, view_duration,
                                      advance=self._on_advance)
         elif synchronizer == "doubling":
             self.sync = DoublingSync(pid, beta, advance=self._on_advance)

@@ -85,12 +85,12 @@ class DelayPolicy(Protocol):
 
 
 class MaxDelayPolicy:
-    """Worst legal delay after GST; pre-GST sends capped at GST + delta."""
+    """The exact delta delay for every send, before GST too (a pre-GST send
+    arrives by GST + delta anyway): ``sim.latest_delivery``, one object per
+    send instant."""
 
     def deliver_at(self, env: Envelope, sim: "Simulation") -> Fraction:
-        if env.sent_at >= sim.gst:
-            return env.sent_at + sim.delta
-        return min(env.sent_at + sim.delta, sim.gst + sim.delta)
+        return sim.latest_delivery
 
 
 class ProcessContext:

@@ -229,6 +229,15 @@ def sync_window_words(trace: Trace, cfg, t_s: Optional[Fraction]) -> int:
     return _window_words(trace, cfg.gst, hi, SYNC_MESSAGE_TYPES)
 
 
+def sync_window_entries(trace: Trace, cfg, t_s: Optional[Fraction]) -> dict[int, int]:
+    """Epoch entries per correct process in [GST, t_s + overlap] (t_s None:
+    unbounded)."""
+    hi = None if t_s is None else t_s + cfg.overlap
+    return {pid: sum(1 for t, _ in epoch_entries(trace, pid, cfg.f)
+                     if t >= cfg.gst and (hi is None or t <= hi))
+            for pid in trace.correct()}
+
+
 def handler_tally_words(sent_logs: dict[int, list], trace: Trace,
                         gst: Fraction, t_d: Optional[Fraction]) -> int:
     """Independent accounting path: per-handler outbound tallies."""
@@ -388,13 +397,10 @@ def check_epoch_budget(trace, cfg, crypto=None):
     t_s = find_sync_time(trace, cfg)
     if t_s is None:
         return out
-    hi = t_s + cfg.overlap
-    for pid in trace.correct():
-        cnt = sum(1 for t, _ in epoch_entries(trace, pid, cfg.f)
-                  if cfg.gst <= t <= hi)
+    for pid, cnt in sync_window_entries(trace, cfg, t_s).items():
         if cnt > 4:
             out.append(f"epoch_budget: P{pid} entered {cnt} epochs in "
-                       f"[{cfg.gst}, {hi}]")
+                       f"[{cfg.gst}, {t_s + cfg.overlap}]")
     return out
 
 
@@ -730,11 +736,7 @@ def build_report(trace: Trace, cfg, crypto=None) -> MetricsReport:
     words = count_words(trace, cfg.gst, t_d)
     sync_words = sync_window_words(trace, cfg, t_s)
     violations = check_invariants(trace, cfg, crypto)
-    entries = {}
-    hi = None if t_s is None else t_s + cfg.overlap
-    for pid in trace.correct():
-        entries[pid] = sum(1 for t, _ in epoch_entries(trace, pid, cfg.f)
-                           if t >= cfg.gst and (hi is None or t <= hi))
+    entries = sync_window_entries(trace, cfg, t_s)
     latency = None if t_d is None else max(Fraction(0), t_d - cfg.gst)
     return MetricsReport(
         protocol=cfg.protocol, n=cfg.n, f=cfg.f, seed=cfg.seed,

@@ -62,14 +62,12 @@ class RareSync:
     """
 
     def __init__(self, pid: int, n: int, f: int, delta: Fraction,
-                 overlap: Fraction, epsilon: Fraction,
-                 advance: Callable[[object, int], None]):
+                 view_duration: Fraction, advance: Callable[[object, int], None]):
         self.pid = pid
         self.n = n
         self.f = f
         self.delta = Fraction(delta)
-        self.view_duration = Fraction(overlap) + 2 * self.delta + Fraction(epsilon)
-        self.epoch_duration = (f + 1) * self.view_duration
+        self.view_duration = Fraction(view_duration)
         self._advance = advance
 
         self.epoch: int = 1

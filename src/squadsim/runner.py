@@ -30,7 +30,7 @@ def _protocol_node(cfg: ScenarioConfig, sim: Simulation, pid: int,
     return ProtocolNode(
         pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
         synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
-        overlap=cfg.overlap, epsilon=cfg.epsilon,
+        view_duration=cfg.view_duration,
         certified=(cfg.protocol == "squad"), beta=cfg.beta,
         core_factory=core_factory)
 

@@ -232,9 +232,9 @@ def test_criterion_7_certification_phase():
 
 
 def test_criterion_8_scenario_s():
-    for f in (1, 2):
+    for n in (4, 7):
         for seed in range(3):
-            cfg = scenario_s(f, seed)
+            cfg = scenario_s(n, seed)
             assert cfg.byzantine == frozenset()
             res = run_scenario(cfg)
             assert res.report.decided and not res.report.violations

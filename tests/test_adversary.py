@@ -60,8 +60,8 @@ def test_worst_case_no_byzantine_variant_decides_earlier():
 
 
 def test_scenario_s_group_sizes():
-    cfg = scenario_s(2, 0)
-    assert cfg.n == 7 and cfg.byzantine == frozenset()
+    cfg = scenario_s(7, 0)
+    assert cfg.n == 7 and cfg.f == 2 and cfg.byzantine == frozenset()
     placements = {}
     for p in range(1, 8):
         elapsed = cfg.clocks[p].local_elapsed(Fraction(0), cfg.gst)
@@ -71,7 +71,13 @@ def test_scenario_s_group_sizes():
 
 def test_scenario_s_requires_f_at_least_1():
     with pytest.raises(ValueError):
-        scenario_s(0, 0)
+        scenario_s(1, 0)
+
+
+def test_view_duration_formula():
+    cfg = happy(4, 0)
+    assert cfg.view_duration == Fraction(10) + Fraction(1, 100)
+    assert cfg.epoch_duration == 2 * cfg.view_duration
 
 
 def test_validation_rejects_bad_n():

@@ -10,11 +10,12 @@ from tests.conftest import FakeContext
 DELTA = Fraction(1)
 OVERLAP = Fraction(8)
 EPS = Fraction(1, 100)
+VIEW = OVERLAP + 2 * DELTA + EPS
 
 
 def make_a2a(crypto, pid=1):
     log = []
-    sync = AllToAllSync(pid, crypto.n, crypto.f, DELTA, OVERLAP, EPS,
+    sync = AllToAllSync(pid, crypto.n, crypto.f, VIEW,
                         advance=lambda ctx, v: log.append(v))
     return sync, log
 

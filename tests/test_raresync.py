@@ -11,11 +11,12 @@ from tests.conftest import FakeContext
 DELTA = Fraction(1)
 OVERLAP = Fraction(8)
 EPS = Fraction(1, 100)
+VIEW = OVERLAP + 2 * DELTA + EPS
 
 
 def make_sync(crypto, pid=1, advance_log=None):
     log = advance_log if advance_log is not None else []
-    return RareSync(pid, crypto.n, crypto.f, DELTA, OVERLAP, EPS,
+    return RareSync(pid, crypto.n, crypto.f, DELTA, VIEW,
                     advance=lambda ctx, v: log.append(v)), log
 
 
@@ -53,12 +54,6 @@ def test_init_enters_first_view(crypto4, ctx4):
     assert (sync.epoch, sync.view) == (1, 1)
     assert ctx4.timers == [("measure", "view_timer", OVERLAP + 2 * DELTA + EPS)]
     assert ctx4.epochs == [1]
-
-
-def test_view_duration_formula(crypto4):
-    sync, _ = make_sync(crypto4)
-    assert sync.view_duration == Fraction(10) + EPS
-    assert sync.epoch_duration == 2 * sync.view_duration
 
 
 def test_view_timer_advances_within_epoch(crypto7):
