@@ -53,6 +53,12 @@ class JitterDelayPolicy:
     at ``sent_at + delay`` but no later than ``gst + delta``. Like
     ``ScheduledReleasePolicy`` it reads the engine's ``sim.post_gst`` and
     keeps no per-run state.
+
+    The delivery time is built as one ``Fraction`` from plain ints, the
+    numerators and denominators of the base time and of ``delta``, and the
+    pre-GST cap is an integer cross-product. No float and no ``Fraction``
+    comparison takes part, so each result equals the rational formula
+    above exactly.
     """
 
     RES = 64
@@ -63,13 +69,19 @@ class JitterDelayPolicy:
 
     def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
         post_gst = sim.post_gst
-        steps = self.RES if post_gst else self.pre_gst_steps
-        delay = sim.delta * Fraction(sim.rng.randrange(1, steps + 1), self.RES)
-        if post_gst:
-            return env.sent_at + delay
-        if isinstance(env.payload, self.held_types):
-            return sim.gst + delay
-        return min(env.sent_at + delay, sim.gst + sim.delta)
+        step = sim.rng.randrange(1, (self.RES if post_gst else self.pre_gst_steps) + 1)
+        held = not post_gst and isinstance(env.payload, self.held_types)
+        base = sim.gst if held else env.sent_at
+        delta = sim.delta
+        # base + delta * step / RES over a common denominator
+        bd, dd = base.denominator, delta.denominator * self.RES
+        num, den = base.numerator * dd + delta.numerator * step * bd, bd * dd
+        if not (post_gst or held):
+            gst = sim.gst
+            gd, cd = gst.denominator, delta.denominator
+            if num * gd * cd > (gst.numerator * cd + delta.numerator * gd) * den:
+                return gst + delta
+        return Fraction(num, den)
 
 
 class HoldUntilGstPolicy(JitterDelayPolicy):
@@ -310,10 +322,13 @@ def worst_case(n: int, seed: int, protocol: str = "squad",
     so its views never overlap long enough; the silent Byzantine set
     covers the one view in which everyone provably dwells (the epoch's
     last) and the earliest views of the following epoch. GST defaults to
-    50 and is at least 5*delta.
+    the larger of 50 and 5*delta; an explicit GST below 5*delta is a
+    ``ValueError``.
     """
     f, delta, epsilon = _sizes(n, delta, epsilon)
-    gst = max(Fraction(50 if gst is None else gst), 5 * delta)
+    gst = max(Fraction(50), 5 * delta) if gst is None else Fraction(gst)
+    if gst < 5 * delta:
+        raise ValueError(f"worst_case needs gst >= 5*delta = {5 * delta}, got {gst}")
     if protocol == "alltoall":
         # quorum-gated view exits realign everyone each view; the first f
         # views after the initial one are the ones to corrupt
@@ -362,8 +377,8 @@ def scenario_s(n: int, seed: int, protocol: str = "raresync-quad",
     drift: everyone starts at time 0 with a near-zero rate and speeds up
     to rate 1 at a staggered activation instant. Synchronization inside
     that epoch is impossible; it lands in the next one, after the full
-    epoch-boundary exchange. GST is at least 3 views plus delta, which is
-    also its default.
+    epoch-boundary exchange. GST defaults to 3 views plus delta, its
+    minimum; an explicit GST below that is a ``ValueError``.
     """
     f, delta, epsilon = _sizes(n, delta, epsilon)
     pids = list(range(1, n + 1))
@@ -375,7 +390,10 @@ def scenario_s(n: int, seed: int, protocol: str = "raresync-quad",
         policy=HoldUntilGstPolicy())
     view_d = cfg.view_duration
     earliest = 3 * view_d + delta
-    cfg.gst = earliest if gst is None else max(Fraction(gst), earliest)
+    cfg.gst = earliest if gst is None else Fraction(gst)
+    if cfg.gst < earliest:
+        raise ValueError(f"scenario_s needs gst >= three views plus delta = "
+                         f"{earliest}, got {cfg.gst}")
 
     # Group A lags in the first view, B in the second, C (f+1 processes) in
     # the third (for f = 1, whose epochs have two views, C shares the

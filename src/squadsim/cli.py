@@ -84,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="comma-separated list of system sizes (each 3f+1)")
     p.add_argument("--delta", help="message delay bound after GST (rational)")
     p.add_argument("--gst", help="global stabilization time (rational); default "
-                   "the scenario's own; not with --scenario random, which "
-                   "draws it per seed")
+                   "the scenario's own; at least 5*delta for worst_case and "
+                   "three views plus delta for scenario_s; not with "
+                   "--scenario random, which draws it per seed")
     p.add_argument("--seeds", help="seed range, e.g. 0..9")
     p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--scenario-file",

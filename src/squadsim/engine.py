@@ -9,9 +9,11 @@ boundary. Everything is single-threaded and exact:
   process id, sequence number), so a (config, seed) pair is a pure
   function to a trace. It is bucketed by time: a heap of the distinct
   pending times, and per time a heap of (rank, pid, seq, ...) entries, so
-  exact ``Fraction`` comparisons happen only between distinct times and
   the many ties (the n copies of a broadcast share a delivery time) are
-  decided by plain ints;
+  decided by plain ints. The time heap holds ``(numerator / denominator,
+  time)``: int true division is correctly rounded, hence monotone, so a
+  float may order two times only when the floats differ; two distinct
+  times with equal floats fall through to the exact ``Fraction`` compare;
 - timers measure durations on the owner's local clock, integrating its
   rate schedule, and carry a generation counter so a cancel or re-measure
   silently retires any queued expiration;
@@ -26,6 +28,12 @@ boundary. Everything is single-threaded and exact:
   values as ``sim.post_gst`` and ``sim.latest_delivery`` instead of
   recomputing them per copy; a policy that returns ``latest_delivery``
   gives all n copies of a broadcast one shared ``Fraction`` object.
+
+Every exact decision on the hot path (GST, the delivery bounds, the
+horizon, queue monotonicity) is an integer cross-product of the public
+``numerator`` and ``denominator`` (denominators are positive), never a
+float and never ``Fraction``'s comparison dispatch. Time itself stays a
+``Fraction`` wherever it is stored, logged or serialized.
 
 Local computation takes zero simulated time: everything a handler emits
 while processing one event happens at the same instant.
@@ -183,9 +191,9 @@ class Simulation:
         self.decisions: dict[int, tuple[Fraction, object]] = {}
         self._undecided = sum(1 for p in range(1, n + 1) if p not in self.byzantine)
 
-        # heap of the distinct pending times; a time is in it exactly while
-        # its (numerator, denominator) key is in _buckets
-        self._times: list[Fraction] = []
+        # heap of the distinct pending times as (float, time); a time is in
+        # it exactly while its (numerator, denominator) key is in _buckets
+        self._times: list[tuple[float, Fraction]] = []
         self._buckets: dict[tuple[int, int], list[tuple]] = {}  # (rank, pid, seq, tag, data)
         self._seq = 0
 
@@ -193,6 +201,8 @@ class Simulation:
         self._instant: Optional[Fraction] = None
         self._post_gst = False
         self._latest: Fraction = Fraction(0)
+        # (now, latest) as (numerator, denominator, numerator, denominator)
+        self._bounds: tuple[int, int, int, int] = (0, 1, 0, 1)
         self._legal: set[tuple[int, int]] = set()
 
     # -- per-instant values, read-only for delay policies -----------------
@@ -228,7 +238,10 @@ class Simulation:
         bucket = self._buckets.get(key)
         if bucket is None:
             self._buckets[key] = [entry]
-            heapq.heappush(self._times, time)
+            # int true division is correctly rounded, hence monotone: the
+            # float orders two times whenever the floats differ, and equal
+            # floats fall through to the exact compare of the times
+            heapq.heappush(self._times, (key[0] / key[1], time))
         else:
             heapq.heappush(bucket, entry)
 
@@ -244,20 +257,26 @@ class Simulation:
             # always starts a fresh verdict set. Refreshed before the
             # policy is asked, since it reads post_gst and latest_delivery.
             self._instant = now
-            self._post_gst = now >= self.gst
-            self._latest = now + self.delta
+            gst = self.gst
+            nn, nd = now.numerator, now.denominator
+            self._post_gst = nn * gst.denominator >= gst.numerator * nd
+            latest = self._latest = now + self.delta
+            self._bounds = (nn, nd, latest.numerator, latest.denominator)
             self._legal = set()
         env = Envelope(self._seq, sender, receiver, payload, now, now, words)
         deliver_at = self.delay_policy.deliver_at(env, self)
         if type(deliver_at) is not Fraction:
             deliver_at = Fraction(deliver_at)
-        key = (deliver_at.numerator, deliver_at.denominator)
+        key = dn, dd = deliver_at.numerator, deliver_at.denominator
         if key not in self._legal:
+            # exact comparisons as integer cross-products (denominators
+            # are positive)
+            nn, nd, ln, ld = self._bounds
             if self._post_gst:
-                if not (now < deliver_at <= self._latest):
+                if not (nn * dd < dn * nd and dn * ld <= ln * dd):
                     raise AdversaryViolation(
                         f"post-GST delay {deliver_at - now} outside (0, delta]")
-            elif deliver_at < now:
+            elif dn * nd < nn * dd:
                 raise AdversaryViolation("delivery before send")
             self._legal.add(key)
         env.deliver_at = deliver_at
@@ -271,7 +290,7 @@ class Simulation:
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         handle = self.timers[(pid, kind)]
         handle.generation += 1
-        expiry = self.clocks[pid].global_expiry(self.now, Fraction(local_duration))
+        expiry = self.clocks[pid].global_expiry(self.now, local_duration)
         handle.pending = (expiry, handle.generation)
         self._push(expiry, RANK_TIMER, pid, "timer", (kind, handle.generation))
 
@@ -305,6 +324,8 @@ class Simulation:
         if stop is None:
             stop = Simulation.all_correct_decided
         horizon_t = None if horizon is None else Fraction(horizon)
+        if horizon_t is not None:
+            hn, hd = horizon_t.numerator, horizon_t.denominator
         times, buckets = self._times, self._buckets
         nodes, contexts, timers = self.nodes, self.contexts, self.timers
         while True:
@@ -318,14 +339,16 @@ class Simulation:
                 self.trace.horizon_hit = not stop(self)
                 return self._finish()
             # horizon and monotonicity hold for a whole bucket, since all
-            # its entries share one time
-            time = times[0]
-            if horizon_t is not None and time > horizon_t:
+            # its entries share one time; both are integer cross-products
+            time = times[0][1]
+            key = tn, td = time.numerator, time.denominator
+            if horizon_t is not None and tn * hd > hn * td:
                 self.trace.horizon_hit = True
                 return self._finish()
-            assert time >= self.now, "event queue went backwards"
+            now = self.now
+            assert tn * now.denominator >= now.numerator * td, \
+                "event queue went backwards"
             self.now = time
-            key = (time.numerator, time.denominator)
             bucket = buckets[key]
             while True:
                 _, pid, _, tag, data = heapq.heappop(bucket)
@@ -334,7 +357,7 @@ class Simulation:
                     # time then opens a fresh bucket for it
                     del buckets[key]
                     retired = heapq.heappop(times)
-                    assert retired is time, "event queue went backwards"
+                    assert retired[1] is time, "event queue went backwards"
                 node = nodes.get(pid)
                 if node is not None:
                     if tag == "deliver":

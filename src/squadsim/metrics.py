@@ -31,10 +31,13 @@ checker call, while the trace holds every keyed object, so an id cannot
 be reused under them; an equal but distinct object just misses the memo.
 Every event still gets its own violation line.
 
-Bounds are checked with exact rational arithmetic. A few properties are
-promises about infinite executions; their missing-event forms are applied
-only when the (finite) trace demonstrably ran long enough to owe the
-event.
+Bounds are checked with exact rational arithmetic. The delay check, which
+sees every delivery, decides late or early from integer cross-products of
+the send time, delivery time, GST and delta (numerators and positive
+denominators), with no float and no ``Fraction`` temporaries. A few
+properties are promises about infinite executions; their missing-event
+forms are applied only when the (finite) trace demonstrably ran long
+enough to owe the event.
 """
 
 from __future__ import annotations
@@ -533,6 +536,8 @@ def check_delay_bounds(trace, cfg, crypto=None):
     out = []
     index = index_of(trace)
     sends = {ev.seq: ev for ev in index.emitted if ev.seq is not None}
+    gn, gd = cfg.gst.numerator, cfg.gst.denominator
+    dn, dd = cfg.delta.numerator, cfg.delta.denominator
     # (id(send time), id(delivery time)) -> "late", "early" or None; the
     # copies of a broadcast share both time objects, and the trace keeps
     # every one of them alive while this runs
@@ -545,10 +550,14 @@ def check_delay_bounds(trace, cfg, crypto=None):
         if key in verdicts:
             verdict = verdicts[key]
         else:
-            delay = ev.time - sent.time
-            if sent.time >= cfg.gst and not (0 < delay <= cfg.delta):
+            sn, sd = sent.time.numerator, sent.time.denominator
+            tn, td = ev.time.numerator, ev.time.denominator
+            # the delay is delay_num / (sd * td), and sd * td > 0
+            delay_num = tn * sd - sn * td
+            post_gst = sn * gd >= gn * sd
+            if post_gst and not (0 < delay_num and delay_num * dd <= dn * sd * td):
                 verdict = "late"
-            elif delay < 0:
+            elif delay_num < 0:
                 verdict = "early"
             else:
                 verdict = None

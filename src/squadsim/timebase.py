@@ -83,21 +83,27 @@ class ClockModel:
 
     def global_expiry(self, t0: Fraction, local_duration: Fraction) -> Fraction:
         """Global time at which ``local_duration`` has elapsed on the local
-        clock, starting from global time ``t0``."""
-        if local_duration <= 0:
+        clock, starting from global time ``t0``. Comparisons are integer
+        cross-products of numerators and denominators (denominators are
+        positive); the arithmetic itself stays exact ``Fraction``."""
+        if local_duration.numerator <= 0:
             raise ValueError("duration must be positive")
-        remaining = Fraction(local_duration)
-        t = Fraction(t0)
-        for i, (start, rate) in enumerate(self.segments):
-            end = self.segments[i + 1][0] if i + 1 < len(self.segments) else None
-            if end is not None and end <= t:
-                continue
-            seg_start = max(start, t)
-            if end is None:
-                return seg_start + remaining / rate
-            capacity = rate * (end - seg_start)
-            if capacity >= remaining:
-                return seg_start + remaining / rate
+        remaining, t = local_duration, t0
+        segs = self.segments
+        for (start, rate), (end, _) in zip(segs, segs[1:]):
+            if end.numerator * t.denominator <= t.numerator * end.denominator:
+                continue   # the segment ended by t
+            if t.numerator * start.denominator < start.numerator * t.denominator:
+                t = start
+            capacity = rate * (end - t)
+            if (capacity.numerator * remaining.denominator
+                    >= remaining.numerator * capacity.denominator):
+                return t + remaining / rate
             remaining -= capacity
             t = end
-        raise AssertionError("unreachable: schedule covers all time")
+        start, rate = segs[-1]   # the last segment never ends
+        if t.numerator * start.denominator < start.numerator * t.denominator:
+            t = start
+        if rate.numerator != rate.denominator:   # rate 1 once validated
+            remaining = remaining / rate
+        return t + remaining

@@ -1,9 +1,13 @@
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from squadsim.adversary import (equivocate, happy, randomized, scenario_s,
+from squadsim.adversary import (JitterDelayPolicy, RandomizedPolicy,
+                                equivocate, happy, randomized, scenario_s,
                                 worst_case)
+from squadsim.engine import Simulation
 from squadsim.raresync import leader
 from squadsim.runner import run_scenario
 
@@ -150,3 +154,48 @@ def test_randomized_runs_are_legal_and_decide():
         res = run_scenario(cfg)
         assert res.report.decided, seed
         assert res.report.violations == [], (seed, res.report.violations)
+
+
+@dataclass(frozen=True)
+class Note:
+    tag: str
+
+
+@dataclass(frozen=True)
+class HeldNote(Note):
+    pass
+
+
+def _jitter_formula(policy, rng, sent, payload, gst, delta):
+    """The delivery time as the rational formula states it."""
+    post_gst = sent >= gst
+    steps = policy.RES if post_gst else policy.pre_gst_steps
+    delay = delta * Fraction(rng.randrange(1, steps + 1), policy.RES)
+    if post_gst:
+        return sent + delay
+    if isinstance(payload, policy.held_types):
+        return gst + delay
+    return min(sent + delay, gst + delta)
+
+
+@pytest.mark.parametrize("policy", [JitterDelayPolicy(held_types=(HeldNote,)),
+                                    RandomizedPolicy()],
+                         ids=["jitter-held", "randomized"])
+def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
+    gst = Fraction(10)
+    # before GST, near it, at it and after it; one large denominator
+    sends = [Fraction(0), Fraction(3, 7), Fraction(2**61 - 1, 2**58),
+             Fraction(29, 3), Fraction(10), Fraction(25, 2)]
+    for seed, delta in enumerate([Fraction(1), Fraction(1, 3), Fraction(1)]):
+        sim = Simulation(4, 1, gst, delta, policy, seed=seed)
+        rng = random.Random(seed)
+        expected = []
+        for i, sent in enumerate(sends * 8):
+            payload = (HeldNote if i % 2 else Note)(str(i))
+            sim.now = Fraction(sent)   # a fresh object: a new send instant
+            sim.contexts[1].send(2, payload)
+            expected.append(_jitter_formula(policy, rng, sent, payload, gst, delta))
+        envs = sorted((entry[4] for bucket in sim._buckets.values()
+                       for entry in bucket if entry[3] == "deliver"),
+                      key=lambda env: env.seq)
+        assert [env.deliver_at for env in envs] == expected

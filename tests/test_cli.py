@@ -148,6 +148,10 @@ def test_custom_file_requires_path():
                  "draws its GST per seed", id="random-gst-config-key"),
     pytest.param(None, ["--scenario", "nope"], None, "invalid choice",
                  id="unknown-scenario-flag"),
+    pytest.param(None, ["--scenario", "worst_case", "--gst", "0"], None,
+                 "gst >= 5*delta = 5", id="worst-case-gst-below-minimum"),
+    pytest.param(None, ["--scenario", "scenario_s", "--gst", "1"], None,
+                 "gst >= three views plus delta", id="scenario-s-gst-below-minimum"),
 ])
 def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args,
                                          config, message):

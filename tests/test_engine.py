@@ -16,6 +16,7 @@ from squadsim.engine import (AdversaryViolation, Envelope, LivelockError,
                              MaxDelayPolicy, Simulation)
 from squadsim.timebase import ClockModel
 from squadsim.trace import TraceEvent
+from tests.exact_times import exact_cases
 
 
 @dataclass(frozen=True)
@@ -302,10 +303,14 @@ def test_happy_squad_trace_ends_with_unanimous_decides():
 # -- bucketed event queue against a reference heap ----------------------------
 
 # exact ties are common (small numerators), and denominators mix the ones
-# drifting clocks produce
-_times = st.builds(lambda a, d, b, e: Fraction(a, d) + Fraction(b, e),
-                   st.integers(0, 6), st.sampled_from([1, 2, 3]),
-                   st.integers(0, 2), st.sampled_from([1, 7, 1600]))
+# drifting clocks produce; the sampled times are distinct but round to the
+# same float, so only the exact compare can order them in the time heap
+_times = st.one_of(
+    st.builds(lambda a, d, b, e: Fraction(a, d) + Fraction(b, e),
+              st.integers(0, 6), st.sampled_from([1, 2, 3]),
+              st.integers(0, 2), st.sampled_from([1, 7, 1600])),
+    st.sampled_from([Fraction(1), Fraction(2**53 + 1, 2**53),
+                     Fraction(2**54 - 1, 2**54)]))
 _entry = st.tuples(st.integers(0, 1), st.integers(1, 4))          # rank, pid
 _delays = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1)])
 
@@ -359,6 +364,55 @@ def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
     sim.run(stop=lambda s: False, horizon=Fraction(100))
     assert popped == reference_pop_order(initial, plan)
     assert not sim._times and not sim._buckets
+
+
+# -- integer decisions against plain Fraction operators ----------------------
+
+class FixedDelivery:
+    """Delay policy that returns one preset delivery time."""
+
+    def __init__(self, at):
+        self.at = at
+
+    def deliver_at(self, env, sim):
+        return self.at
+
+
+@given(exact_cases())
+@settings(max_examples=400, deadline=None)
+def test_send_legality_agrees_with_fraction_operators(case):
+    gst, delta, now, deliver = case
+    sim = Simulation(4, 1, gst, delta, FixedDelivery(deliver))
+    sim.now = now
+    if now >= gst:
+        legal = now < deliver <= now + delta
+    else:
+        legal = deliver >= now
+    if legal:
+        sim.contexts[1].send(2, Ping("p"))
+        assert (deliver.numerator, deliver.denominator) in sim._buckets
+    else:
+        with pytest.raises(AdversaryViolation):
+            sim.contexts[1].send(2, Ping("p"))
+
+
+@given(exact_cases())
+@settings(max_examples=400, deadline=None)
+def test_horizon_and_order_checks_agree_with_fraction_operators(case):
+    now, _, horizon, at = case   # now and at lie at drawn offsets from horizon
+    sim = Simulation(4, 1, Fraction(0), Fraction(1), MaxDelayPolicy())
+    node = Recorder()
+    sim.add_node(1, node, at)
+    sim.now = now
+    if at > horizon:
+        drain(sim, horizon=horizon)
+        assert node.events == [] and sim.trace.horizon_hit
+    elif at < now:
+        with pytest.raises(AssertionError, match="went backwards"):
+            drain(sim, horizon=horizon)
+    else:
+        drain(sim, horizon=horizon)
+        assert node.events == [("start", at)]
 
 
 def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide():

@@ -24,6 +24,7 @@ from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
 from squadsim.runner import sent_logs
 from squadsim.trace import Trace, TraceEvent
+from tests.exact_times import exact_cases
 from tests.planted import PLANTED
 
 
@@ -197,6 +198,25 @@ def test_shared_illegal_delay_is_reported_per_delivery():
         "delay_bounds: envelope #10 delivered before sent",
         "delay_bounds: envelope #9 delivered before sent"]
     assert len(out) == 7
+
+
+@given(exact_cases())
+@settings(max_examples=400, deadline=None)
+def test_delay_verdict_agrees_with_fraction_operators(case):
+    gst, delta, sent, delivered = case
+    cfg = SimpleNamespace(gst=gst, delta=delta)
+    trace = Trace(4, 1, gst, delta, frozenset())
+    trace.append(TraceEvent(sent, 1, "send", "m", 1, sender=1, receiver=2, seq=1))
+    trace.append(TraceEvent(delivered, 2, "deliver", "m", 0, sender=1,
+                            receiver=2, seq=1))
+    delay = delivered - sent
+    if sent >= gst and not (0 < delay <= delta):
+        expected = [f"delay_bounds: envelope #1 sent {sent} delivered {delivered}"]
+    elif delay < 0:
+        expected = ["delay_bounds: envelope #1 delivered before sent"]
+    else:
+        expected = []
+    assert check_delay_bounds(trace, cfg) == expected
 
 
 def test_forged_broadcast_is_reported_per_copy():
