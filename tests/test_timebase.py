@@ -36,6 +36,12 @@ def test_no_drift_expiry_is_plain_addition():
     assert clock.global_expiry(Fraction(5), Fraction(10)) == 15
 
 
+@pytest.mark.parametrize("duration", [Fraction(0), Fraction(-1, 3)])
+def test_nonpositive_duration_is_rejected(duration):
+    with pytest.raises(ValueError, match="positive"):
+        ClockModel.constant(1).global_expiry(Fraction(5), duration)
+
+
 def test_half_rate_drift_doubles_wait():
     # rate 1/2 before GST=100: 10 local units starting at 0 take 20 global
     clock = ClockModel.drift_until(1, Fraction(1, 2), Fraction(100))
