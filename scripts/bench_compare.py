@@ -13,13 +13,18 @@ For every workload and end-to-end metric of BENCHMARK.json it writes, to
 
 - both sides' medians and quartiles and every run's value;
 - the pairs the change won (ties count for neither);
-- a verdict: ``gain`` when the change won at least 9 of 10 pairs and the
+- a verdict: ``gate failed`` on every metric of a workload where any
+  change run failed the benchmark's output gate (its ``failed`` count is
+  not 0: a wrong trace or CSV row), whatever the numbers say; otherwise
+  ``gain`` when the change won at least 9 of 10 pairs and the
   medians differ by more than the parent's interquartile range;
   ``regression`` when the change's median is worse by more than the
   metric's bound; ``unresolved`` when the parent's own spread is wider
   than the bound and not every change run beats every parent run;
   ``no regression`` otherwise;
 - both commit SHAs, the Python version and ``nproc``.
+
+The script exits 1 when any workload's verdict is ``gate failed``.
 
 Usage:
     python3 scripts/bench_compare.py --label random_mix_exact_time \\
@@ -63,7 +68,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON summary line of one benchmark run."""
+    """The JSON summary line of one benchmark run. Exit 1, a failed output
+    gate, still gives one: its ``failed`` count decides the verdict."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -102,6 +108,23 @@ def compare(parent: list[float], change: list[float], better: str,
         "pairs_won": wins, "pairs": len(parent), "better": better,
         "bound": bound, "verdict": verdict,
     }
+
+
+def summarize(runs: dict[str, list[dict]], first_side: list[str],
+              metrics: list[dict]) -> dict:
+    """One workload's record from both sides' run summaries."""
+    entry = {"first_side": first_side, "metrics": {}}
+    for field in ("correct", "attempted", "failed"):
+        entry[field] = {side: [r[field] for r in runs[side]] for side in runs}
+    gate_failed = any(entry["failed"]["change"])
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
+                  for side in runs}
+        c = compare(values["parent"], values["change"], m["better"], m["bound"])
+        if gate_failed:
+            c["verdict"] = "gate failed"
+        entry["metrics"][m["name"]] = c
+    return entry
 
 
 def parse_args(argv):
@@ -164,15 +187,7 @@ def main(argv=None) -> int:
                           f"{out['correct']} events_per_s="
                           f"{out['metrics']['events_per_s']['value']:.0f}",
                           flush=True)
-            entry = {"first_side": order, "metrics": {}}
-            for field in ("correct", "attempted", "failed"):
-                entry[field] = {side: [r[field] for r in runs[side]] for side in runs}
-            for m in metrics:
-                values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
-                          for side in runs}
-                entry["metrics"][m["name"]] = compare(
-                    values["parent"], values["change"], m["better"], m["bound"])
-            record["workloads"][workload] = entry
+            record["workloads"][workload] = summarize(runs, order, metrics)
 
     out_path = ROOT / f"BENCH_{args.label}.json"
     out_path.write_text(json.dumps(record, indent=1) + "\n")
@@ -183,6 +198,11 @@ def main(argv=None) -> int:
                   f"x{c['change_over_parent']:.3f} won {c['pairs_won']}/{c['pairs']} "
                   f"{c['verdict']}")
     print(f"wrote {out_path}")
+    failed = [w for w, e in record["workloads"].items() if any(e["failed"]["change"])]
+    if failed:
+        print(f"bench_compare: change failed the output gate on {failed}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

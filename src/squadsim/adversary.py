@@ -16,7 +16,7 @@ since it draws GST per seed. Horizons, GSTs and clock activations are
 built from ``ScenarioConfig.view_duration``, the one place the view
 duration is computed.
 
-Delay policies choose each envelope's delivery time at send time; after
+Delay policies choose each copy's delivery time from its send event; after
 GST every choice is validated against the delta bound. All jittered
 delays come from ``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and
 ``RandomizedPolicy`` are presets of it. ``ScheduledReleasePolicy`` and the
@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .crypto import ThresholdSignature
-from .engine import Envelope, MaxDelayPolicy, Simulation
+from .engine import MaxDelayPolicy, Simulation
 from .raresync import EnterEpochMsg, leader
 from .timebase import ClockModel
+from .trace import TraceEvent
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
 from .consensus import (AllowAnyMsg, Certificate, CertificateMsg, DiscloseMsg,
                         value_message)
@@ -45,12 +46,12 @@ STRATEGIES = ("silent", "equivocate", "spam_enter_epoch", "cert_attack")
 # --------------------------------------------------------------------------
 
 class JitterDelayPolicy:
-    """Seeded jittered delays: one ``randrange`` step per envelope.
+    """Seeded jittered delays: one ``randrange`` step per send event.
 
     After GST the delay is ``delta * step / RES`` with step in 1..RES.
     Before GST the step lies in 1..``pre_gst_steps``; a payload of one of
     ``held_types`` is withheld until ``gst + delay``, anything else arrives
-    at ``sent_at + delay`` but no later than ``gst + delta``. Like
+    at ``ev.time + delay`` but no later than ``gst + delta``. Like
     ``ScheduledReleasePolicy`` it reads the engine's ``sim.post_gst`` and
     keeps no per-run state.
 
@@ -67,11 +68,11 @@ class JitterDelayPolicy:
         self.held_types = held_types
         self.pre_gst_steps = pre_gst_steps
 
-    def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
+    def deliver_at(self, ev: TraceEvent, sim: Simulation) -> Fraction:
         post_gst = sim.post_gst
         step = sim.rng.randrange(1, (self.RES if post_gst else self.pre_gst_steps) + 1)
-        held = not post_gst and isinstance(env.payload, self.held_types)
-        base = sim.gst if held else env.sent_at
+        held = not post_gst and isinstance(ev.payload, self.held_types)
+        base = sim.gst if held else ev.time
         delta = sim.delta
         # base + delta * step / RES over a common denominator
         bd, dd = base.denominator, delta.denominator * self.RES
@@ -117,10 +118,10 @@ class ScheduledReleasePolicy:
         self.releases = releases
         self.held_types = held_types
 
-    def deliver_at(self, env: Envelope, sim: Simulation) -> Fraction:
-        if (not sim.post_gst and isinstance(env.payload, self.held_types)
-                and env.receiver in self.releases):
-            return max(self.releases[env.receiver], env.sent_at)
+    def deliver_at(self, ev: TraceEvent, sim: Simulation) -> Fraction:
+        if (not sim.post_gst and isinstance(ev.payload, self.held_types)
+                and ev.receiver in self.releases):
+            return max(self.releases[ev.receiver], ev.time)
         return sim.latest_delivery
 
 

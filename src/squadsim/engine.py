@@ -27,7 +27,12 @@ boundary. Everything is single-threaded and exact:
   kept, so every illegal send raises. Policies read the two per-instant
   values as ``sim.post_gst`` and ``sim.latest_delivery`` instead of
   recomputing them per copy; a policy that returns ``latest_delivery``
-  gives all n copies of a broadcast one shared ``Fraction`` object.
+  gives all n copies of a broadcast one shared ``Fraction`` object;
+- a message is one record, its send ``TraceEvent``: the policy reads it,
+  the trace and the queue keep it, and the deliver event is built from it
+  when it pops. A broadcast is one engine call that checks and refreshes
+  once, then gives each copy its own seq, event, policy call and legality
+  check, in receiver order.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -70,17 +75,6 @@ class AdversaryViolation(Exception):
 
 
 @dataclass
-class Envelope:
-    seq: int
-    sender: int
-    receiver: int
-    payload: object
-    sent_at: Fraction
-    deliver_at: Fraction
-    words: int
-
-
-@dataclass
 class TimerHandle:
     owner: int
     kind: str
@@ -89,7 +83,8 @@ class TimerHandle:
 
 
 class DelayPolicy(Protocol):
-    def deliver_at(self, env: Envelope, sim: "Simulation") -> Fraction: ...
+    # receives one copy's send event: ev.time (the send instant), ev.payload, ev.receiver
+    def deliver_at(self, ev: TraceEvent, sim: "Simulation") -> Fraction: ...
 
 
 class MaxDelayPolicy:
@@ -97,7 +92,7 @@ class MaxDelayPolicy:
     arrives by GST + delta anyway): ``sim.latest_delivery``, one object per
     send instant."""
 
-    def deliver_at(self, env: Envelope, sim: "Simulation") -> Fraction:
+    def deliver_at(self, ev: TraceEvent, sim: "Simulation") -> Fraction:
         return sim.latest_delivery
 
 
@@ -128,14 +123,16 @@ class ProcessContext:
         return self._sim.f
 
     def send(self, receiver: int, payload, words: int = 1) -> None:
+        if not (1 <= receiver <= self._sim.n):
+            raise ValueError(f"unknown receiver {receiver}")
         self.sent_log.append((self._sim.now, words))
-        self._sim._send(self.pid, receiver, payload, words)
+        self._sim._send(self.pid, (receiver,), payload, words)
 
     def broadcast(self, payload, words: int = 1) -> None:
         # n point-to-point sends, self included, in process-id order
-        self.sent_log.extend([(self._sim.now, words)] * self._sim.n)
-        for receiver in range(1, self._sim.n + 1):
-            self._sim._send(self.pid, receiver, payload, words)
+        sim = self._sim
+        self.sent_log.extend([(sim.now, words)] * sim.n)
+        sim._send(self.pid, range(1, sim.n + 1), payload, words)
 
     def measure(self, kind: str, local_duration: Fraction) -> None:
         self._sim._timer_measure(self.pid, kind, local_duration)
@@ -144,12 +141,12 @@ class ProcessContext:
         self._sim._timer_cancel(self.pid, kind)
 
     def log_advance(self, view: int, detail_extra: str = "") -> None:
-        self._sim._log(TraceEvent(self._sim.now, self.pid, "advance",
-                                  f"v={view}{detail_extra}", 0, payload=view))
+        self._sim.trace.events.append(TraceEvent(
+            self._sim.now, self.pid, "advance", f"v={view}{detail_extra}", 0, view))
 
     def log_enter_epoch(self, epoch: int) -> None:
-        self._sim._log(TraceEvent(self._sim.now, self.pid, "enter_epoch",
-                                  f"e={epoch}", 0, payload=epoch))
+        self._sim.trace.events.append(TraceEvent(
+            self._sim.now, self.pid, "enter_epoch", f"e={epoch}", 0, epoch))
 
     def decide(self, value) -> None:
         self._sim._decide(self.pid, value)
@@ -245,12 +242,10 @@ class Simulation:
         else:
             heapq.heappush(bucket, entry)
 
-    def _send(self, sender: int, receiver: int, payload, words: int) -> None:
-        if not (1 <= receiver <= self.n):
-            raise ValueError(f"unknown receiver {receiver}")
+    def _send(self, sender: int, receivers, payload, words: int) -> None:
+        # one send event per copy, in receiver order (see the module docstring)
         if words <= 0:
             raise ValueError("message words must be positive")
-        self._seq += 1
         now = self.now
         if now is not self._instant:
             # identity, not equality: a new instant (or a reassigned now)
@@ -263,29 +258,32 @@ class Simulation:
             latest = self._latest = now + self.delta
             self._bounds = (nn, nd, latest.numerator, latest.denominator)
             self._legal = set()
-        env = Envelope(self._seq, sender, receiver, payload, now, now, words)
-        deliver_at = self.delay_policy.deliver_at(env, self)
-        if type(deliver_at) is not Fraction:
-            deliver_at = Fraction(deliver_at)
-        key = dn, dd = deliver_at.numerator, deliver_at.denominator
-        if key not in self._legal:
-            # exact comparisons as integer cross-products (denominators
-            # are positive)
-            nn, nd, ln, ld = self._bounds
-            if self._post_gst:
-                if not (nn * dd < dn * nd and dn * ld <= ln * dd):
-                    raise AdversaryViolation(
-                        f"post-GST delay {deliver_at - now} outside (0, delta]")
-            elif dn * nd < nn * dd:
-                raise AdversaryViolation("delivery before send")
-            self._legal.add(key)
-        env.deliver_at = deliver_at
         kind = "byz" if sender in self.byzantine else "send"
-        # detail None: TraceEvent.line renders it from the payload
-        self._log(TraceEvent(now, sender, kind, None, words,
-                             payload=payload, sender=sender,
-                             receiver=receiver, seq=env.seq))
-        self._enqueue(deliver_at, key, (RANK_DELIVERY, receiver, env.seq, "deliver", env))
+        policy, legal = self.delay_policy.deliver_at, self._legal
+        append, enqueue = self.trace.events.append, self._enqueue
+        post_gst = self._post_gst
+        nn, nd, ln, ld = self._bounds
+        for receiver in receivers:
+            self._seq = seq = self._seq + 1
+            # detail None: TraceEvent.line renders it from the payload
+            ev = TraceEvent(now, sender, kind, None, words, payload, sender,
+                            receiver, seq)
+            deliver_at = policy(ev, self)
+            if type(deliver_at) is not Fraction:
+                deliver_at = Fraction(deliver_at)
+            key = dn, dd = deliver_at.numerator, deliver_at.denominator
+            if key not in legal:
+                # exact comparisons as integer cross-products (denominators
+                # are positive)
+                if post_gst:
+                    if not (nn * dd < dn * nd and dn * ld <= ln * dd):
+                        raise AdversaryViolation(
+                            f"post-GST delay {deliver_at - now} outside (0, delta]")
+                elif dn * nd < nn * dd:
+                    raise AdversaryViolation("delivery before send")
+                legal.add(key)
+            append(ev)
+            enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         handle = self.timers[(pid, kind)]
@@ -305,10 +303,8 @@ class Simulation:
         self.decisions[pid] = (self.now, value)
         if pid not in self.byzantine:
             self._undecided -= 1
-        self._log(TraceEvent(self.now, pid, "decide", f"value={value}", 0, payload=value))
-
-    def _log(self, ev: TraceEvent) -> None:
-        self.trace.append(ev)
+        self.trace.events.append(TraceEvent(self.now, pid, "decide",
+                                            f"value={value}", 0, value))
 
     # -- run loop ----------------------------------------------------------
 
@@ -328,6 +324,7 @@ class Simulation:
             hn, hd = horizon_t.numerator, horizon_t.denominator
         times, buckets = self._times, self._buckets
         nodes, contexts, timers = self.nodes, self.contexts, self.timers
+        append = self.trace.events.append
         while True:
             if stop(self):
                 return self._finish()
@@ -361,19 +358,18 @@ class Simulation:
                 node = nodes.get(pid)
                 if node is not None:
                     if tag == "deliver":
-                        env: Envelope = data
-                        self._log(TraceEvent(time, pid, "deliver", None, 0,
-                                             payload=env.payload, sender=env.sender,
-                                             receiver=pid, seq=env.seq))
-                        node.on_deliver(contexts[pid], env.sender, env.payload)
+                        # data is the send event: the delivery is built from it
+                        append(TraceEvent(time, pid, "deliver", None, 0,
+                                          data.payload, data.sender, pid, data.seq))
+                        node.on_deliver(contexts[pid], data.sender, data.payload)
                     elif tag == "timer":
                         kind, generation = data
                         handle = timers[(pid, kind)]
                         # skipped if canceled or superseded by a newer measure
                         if handle.pending is not None and handle.pending[1] == generation:
                             handle.pending = None
-                            self._log(TraceEvent(time, pid, "timer",
-                                                 f"{kind}:gen{generation}", 0))
+                            append(TraceEvent(time, pid, "timer",
+                                              f"{kind}:gen{generation}", 0))
                             node.on_timer(contexts[pid], kind)
                     elif tag == "start":
                         node.on_start(contexts[pid])

@@ -26,7 +26,7 @@ def _summary(payload) -> str:
     return fn() if fn else str(payload)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     time: Fraction
     process: int
@@ -36,7 +36,7 @@ class TraceEvent:
     payload: Any = None        # structured message/value, not serialized
     sender: Optional[int] = None
     receiver: Optional[int] = None
-    seq: Optional[int] = None  # envelope id pairing a send with its delivery
+    seq: Optional[int] = None  # message id pairing a send with its delivery
 
     def line(self, summaries: Optional[dict[int, str]] = None) -> str:
         """The serialized event. ``summaries`` memoizes payload summaries

@@ -195,7 +195,8 @@ def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
             sim.now = Fraction(sent)   # a fresh object: a new send instant
             sim.contexts[1].send(2, payload)
             expected.append(_jitter_formula(policy, rng, sent, payload, gst, delta))
-        envs = sorted((entry[4] for bucket in sim._buckets.values()
-                       for entry in bucket if entry[3] == "deliver"),
-                      key=lambda env: env.seq)
-        assert [env.deliver_at for env in envs] == expected
+        # each copy's delivery time is the time of the bucket holding it
+        at = {(t.numerator, t.denominator): t for _, t in sim._times}
+        queued = sorted((entry[4].seq, at[key]) for key, bucket in sim._buckets.items()
+                        for entry in bucket if entry[3] == "deliver")
+        assert [deliver_at for _, deliver_at in queued] == expected

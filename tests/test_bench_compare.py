@@ -1,6 +1,8 @@
 """The verdict rules of scripts/bench_compare.py, on made-up run values."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,57 @@ def test_wide_parent_spread_is_unresolved_unless_separated():
                                  0.25)["verdict"] == "unresolved"
     assert bench_compare.compare(parent, [200 + i for i in range(10)], "higher",
                                  0.25)["verdict"] == "gain"
+
+
+METRICS = [{"name": "events_per_s", "better": "higher", "bound": 0.25},
+           {"name": "run_s.p50", "better": "lower", "bound": 0.25}]
+
+
+def fake_run(events_per_s, failed=0):
+    """A perfbench/run.py summary line with the fields bench_compare reads."""
+    return {"correct": not failed, "attempted": 5, "failed": failed,
+            "metrics": {"events_per_s": {"value": events_per_s},
+                        "run_s.p50": {"value": 1000 / events_per_s},
+                        "peak_rss_mb": {"value": 40.0}, "setup_s": {"value": 0.2}}}
+
+
+def test_a_failed_gate_on_the_change_side_is_never_a_gain():
+    parent = [fake_run(v) for v in PARENT]
+    change = [fake_run(v * 1.5, failed=int(i == 9)) for i, v in enumerate(PARENT)]
+    entry = bench_compare.summarize({"parent": parent, "change": change},
+                                    ["parent", "change"] * 5, METRICS)
+    assert entry["failed"]["change"] == [0] * 9 + [1]
+    assert {m: c["verdict"] for m, c in entry["metrics"].items()} == \
+        {"events_per_s": "gate failed", "run_s.p50": "gate failed"}
+    # the same numbers with every gate passed are a gain
+    passed = [fake_run(v * 1.5) for v in PARENT]
+    entry = bench_compare.summarize({"parent": parent, "change": passed},
+                                    ["parent", "change"] * 5, METRICS)
+    assert {c["verdict"] for c in entry["metrics"].values()} == {"gain"}
+
+
+@pytest.mark.parametrize("failed, code", [(0, 0), (1, 1)])
+def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch,
+                                                     failed, code):
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(bench_compare, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_compare, "git", lambda *args: "")
+    monkeypatch.setattr(bench_compare, "export", lambda rev, dest: None)
+
+    def run_bench(checkout, workload, seed, seconds):
+        if checkout == tmp_path:    # the change side
+            return fake_run(130.0 + seed, failed=failed)
+        return fake_run(100.0 + seed)
+
+    monkeypatch.setattr(bench_compare, "run_bench", run_bench)
+    assert bench_compare.main(["--label", "t", "--workload", "random_mix",
+                               "--pairs", "4", "--first-seed", "3"]) == code
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    verdicts = {m: c["verdict"]
+                for m, c in record["workloads"]["random_mix"]["metrics"].items()}
+    if failed:
+        assert set(verdicts.values()) == {"gate failed"}
+    else:
+        assert verdicts == {"events_per_s": "gain", "run_s.p50": "gain",
+                            "peak_rss_mb": "no regression",
+                            "setup_s": "no regression"}

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from squadsim.adversary import ScheduledReleasePolicy
-from squadsim.engine import (AdversaryViolation, Envelope, LivelockError,
-                             MaxDelayPolicy, Simulation)
+from squadsim.engine import (AdversaryViolation, LivelockError, MaxDelayPolicy,
+                             Simulation)
 from squadsim.timebase import ClockModel
 from squadsim.trace import TraceEvent
 from tests.exact_times import exact_cases
@@ -55,6 +55,15 @@ def make_sim(policy=None, gst=Fraction(10), clocks=None, byz=frozenset()):
 
 def drain(sim, horizon=Fraction(1000)):
     return sim.run(stop=lambda s: False, horizon=horizon)
+
+
+def queued_deliveries(sim):
+    """(send event, delivery time) per queued copy. The time is the object
+    the copy's bucket holds in the time heap: the one its deliver event
+    will carry."""
+    at = {(t.numerator, t.denominator): t for _, t in sim._times}
+    return [(entry[4], at[key]) for key, bucket in sim._buckets.items()
+            for entry in bucket if entry[3] == "deliver"]
 
 
 def test_pop_order_is_nondecreasing_and_documented():
@@ -116,8 +125,8 @@ def test_timer_integrates_local_clock():
 
 def test_post_gst_delay_bound_enforced():
     class BadPolicy:
-        def deliver_at(self, env, sim):
-            return env.sent_at + 2 * sim.delta
+        def deliver_at(self, ev, sim):
+            return ev.time + 2 * sim.delta
 
     sim, _ = make_sim(policy=BadPolicy())
     drain(sim, horizon=Fraction(15))
@@ -199,9 +208,7 @@ def test_policy_reads_values_of_the_current_instant_after_reassignment():
     sim.contexts[1].send(2, Ping("held"))
     sim.now = Fraction(50)
     sim.contexts[1].send(2, Ping("after"))
-    queued = {entry[4].payload.tag: entry[4].deliver_at
-              for bucket in sim._buckets.values() for entry in bucket
-              if entry[3] == "deliver"}
+    queued = {ev.payload.tag: at for ev, at in queued_deliveries(sim)}
     assert queued == {"held": Fraction(12), "after": Fraction(51)}
 
 
@@ -210,12 +217,102 @@ def test_broadcast_copies_share_one_delivery_time_object():
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
     sim.contexts[1].broadcast(Ping("all"))
+    first = sim.latest_delivery
     sim.now = Fraction(30)
     sim.contexts[1].broadcast(Ping("next"))
-    times = [entry[4].deliver_at for bucket in sim._buckets.values()
-             for entry in bucket]
+    times = [at for _, at in queued_deliveries(sim)]
     assert sorted(times) == [Fraction(21)] * 4 + [Fraction(31)] * 4
     assert len({id(t) for t in times}) == 2
+    assert {id(t) for t in times} == {id(first), id(sim.latest_delivery)}
+    # the deliver events carry the shared objects the report's memos key on
+    sim.now = Fraction(20)   # back before the first delivery, so it can pop
+    delivered = [ev.time for ev in drain(sim).events if ev.kind == "deliver"]
+    assert len(delivered) == 8 and len({id(t) for t in delivered}) == 2
+
+
+class RecordingPolicy:
+    """Exact delta delays; records each send event it is asked about, with
+    the per-instant values it reads at that call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def deliver_at(self, ev, sim):
+        self.seen.append((ev, ev.receiver, ev.seq, sim.post_gst, sim.latest_delivery))
+        return sim.latest_delivery
+
+
+def test_broadcast_copies_are_distinct_send_events_in_receiver_order():
+    policy = RecordingPolicy()
+    sim, _ = make_sim(policy=policy)
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(20)
+    seq0 = sim._seq
+    sim.contexts[2].broadcast(Ping("all"), words=3)
+    sends = [ev for ev in sim.trace.events if ev.kind == "send"]
+    assert [(ev.receiver, ev.seq) for ev in sends] == [(r, seq0 + r) for r in range(1, 5)]
+    assert len({id(ev) for ev in sends}) == 4
+    assert {(ev.time, ev.process, ev.sender, ev.words, ev.payload)
+            for ev in sends} == {(Fraction(20), 2, 2, 3, Ping("all"))}
+    # one policy call per copy, in receiver order, about that copy's event
+    assert [(id(ev), r, s) for ev, r, s, _, _ in policy.seen] == \
+        [(id(ev), ev.receiver, ev.seq) for ev in sends]
+    assert sorted(id(ev) for ev, _ in queued_deliveries(sim)) == sorted(map(id, sends))
+    delivers = [ev for ev in drain(sim).events if ev.kind == "deliver"]
+    assert sorted((ev.process, ev.sender, ev.receiver, ev.seq) for ev in delivers) == \
+        [(ev.receiver, 2, ev.receiver, ev.seq) for ev in sends]
+
+
+def test_scheduled_release_sees_each_broadcast_copy_receiver():
+    policy = ScheduledReleasePolicy({2: Fraction(12), 3: Fraction(14)}, (Ping,))
+    sim, _ = make_sim(policy=policy)
+    sim.now = Fraction(5)
+    sim.contexts[1].broadcast(Ping("held"))
+    assert {ev.receiver: at for ev, at in queued_deliveries(sim)} == \
+        {1: Fraction(6), 2: Fraction(12), 3: Fraction(14), 4: Fraction(6)}
+
+
+def test_each_broadcast_reads_the_instant_it_is_made_at():
+    policy = RecordingPolicy()
+    sim, _ = make_sim(policy=policy)
+    sim.now = Fraction(5)
+    sim.contexts[1].broadcast(Ping("before"))
+    sim.now = Fraction(50)
+    sim.contexts[1].broadcast(Ping("after"))
+    sim.now = Fraction(5)   # an equal time, but a new object: a new instant
+    sim.contexts[1].broadcast(Ping("again"))
+    assert [(post_gst, latest) for *_, post_gst, latest in policy.seen] == \
+        [(False, Fraction(6))] * 4 + [(True, Fraction(51))] * 4 + [(False, Fraction(6))] * 4
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_violation_at_copy_k_keeps_only_the_copies_before_it(k):
+    times = [Fraction(51)] * (k - 1) + [Fraction(52)] + [Fraction(51)] * (4 - k)
+    sim, _ = make_sim(policy=ScriptedPolicy(*times))
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(50)
+    before, seq0 = len(sim.trace.events), sim._seq
+    with pytest.raises(AdversaryViolation, match="outside"):
+        sim.contexts[1].broadcast(Ping("cut"))
+    logged = sim.trace.events[before:]
+    assert [(ev.kind, ev.receiver) for ev in logged] == [("send", r) for r in range(1, k)]
+    assert sorted(ev.receiver for ev, _ in queued_deliveries(sim)) == list(range(1, k))
+    assert sim._seq == seq0 + k   # the failing copy's seq is spent
+
+
+def test_rejected_send_consumes_no_seq_and_logs_nothing():
+    sim, _ = make_sim()
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(20)
+    before, seq0 = len(sim.trace.events), sim._seq
+    for call in (lambda ctx: ctx.broadcast(Ping("free"), words=0),
+                 lambda ctx: ctx.send(2, Ping("free"), words=-1),
+                 lambda ctx: ctx.send(5, Ping("nobody")),
+                 lambda ctx: ctx.send(0, Ping("nobody"))):
+        with pytest.raises(ValueError):
+            call(sim.contexts[1])
+    assert sim._seq == seq0 and len(sim.trace.events) == before
+    assert not sim._buckets
 
 
 def test_finished_run_is_not_kept_alive_by_its_config():
@@ -354,7 +451,7 @@ def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
     def push(time, rank, pid):
         label = next(labels)
         sim._push(time, rank, pid, "deliver",
-                  Envelope(label, 1, pid, label, time, time, 1))
+                  TraceEvent(time, 1, "send", None, 1, label, 1, pid, label))
 
     probe = QueueProbe(push, plan, popped)
     for pid in range(1, 5):
