@@ -31,12 +31,12 @@ from fractions import Fraction
 
 from .crypto import ThresholdSignature
 from .engine import MaxDelayPolicy, Simulation
-from .raresync import EnterEpochMsg, leader
+from .raresync import EnterEpochMsg, epoch_message, leader
 from .timebase import ClockModel
 from .trace import TraceEvent
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
-from .consensus import (AllowAnyMsg, Certificate, CertificateMsg, DiscloseMsg,
-                        value_message)
+from .consensus import (ANY_VALUE_TAG, AllowAnyMsg, Certificate, CertificateMsg,
+                        DiscloseMsg, value_message)
 
 STRATEGIES = ("silent", "equivocate", "spam_enter_epoch", "cert_attack")
 
@@ -176,7 +176,7 @@ class SpamEnterEpochNode:
     def on_timer(self, ctx, kind: str) -> None:
         self.tick += 1
         epoch = 1000 + self.tick
-        forged = ThresholdSignature(f"(epoch,{epoch - 1})",
+        forged = ThresholdSignature(epoch_message(epoch - 1),
                                     frozenset(range(1, 2 * self.f + 2)), "quorum")
         ctx.broadcast(EnterEpochMsg(epoch, forged))
         if self.tick < 40:
@@ -195,9 +195,9 @@ class CertAttackNode:
     def on_start(self, ctx) -> None:
         psig = ctx.crypto.share_sign(self.pid, value_message(self.evil), "cert")
         ctx.broadcast(DiscloseMsg(self.evil, psig))
-        any_psig = ctx.crypto.share_sign(self.pid, "any value", "cert")
+        any_psig = ctx.crypto.share_sign(self.pid, ANY_VALUE_TAG, "cert")
         ctx.broadcast(AllowAnyMsg(any_psig))
-        forged = ThresholdSignature(f"(value,{self.evil})",
+        forged = ThresholdSignature(value_message(self.evil),
                                     frozenset(range(1, self.f + 2)), "cert")
         ctx.broadcast(CertificateMsg(self.evil, Certificate(self.evil, forged)))
 
@@ -226,7 +226,6 @@ class ScenarioConfig:
     clocks: dict[int, ClockModel]
     policy: object
     horizon_slack: int = 40       # deltas of run time past three epochs after GST
-    beta: Fraction = Fraction(1)
 
     @property
     def overlap(self) -> Fraction:

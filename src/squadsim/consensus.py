@@ -32,8 +32,8 @@ from .viewcore import ViewCore
 ANY_VALUE_TAG = "any value"
 
 
-def value_message(value) -> tuple:
-    return ("value", value)
+def value_message(value) -> str:
+    return f"(value,{value})"
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class ProtocolNode:
 
     def __init__(self, pid: int, n: int, f: int, crypto: CryptoSystem,
                  proposal, synchronizer: str, delta: Fraction,
-                 view_duration: Fraction, certified: bool = False, beta: Fraction = Fraction(1),
+                 view_duration: Fraction, certified: bool = False,
                  core_factory=None):
         self.pid = pid
         self.n = n
@@ -180,7 +180,7 @@ class ProtocolNode:
             self.sync = AllToAllSync(pid, n, f, view_duration,
                                      advance=self._on_advance)
         elif synchronizer == "doubling":
-            self.sync = DoublingSync(pid, beta, advance=self._on_advance)
+            self.sync = DoublingSync(pid, Fraction(1), advance=self._on_advance)
         else:
             raise ValueError(f"unknown synchronizer {synchronizer!r}")
         self.cert_phase = (CertPhase(pid, n, f, proposal, self._on_certified)

@@ -8,9 +8,12 @@ the whole unforgeability argument here - an adversary may freely combine
 partial signatures it has legitimately received, but any object it
 fabricates for signers that never signed simply fails verification.
 
-Digests are canonical serializations of message tuples rather than hashes;
-collision behavior is irrelevant to what is being tested and plain strings
-make traces debuggable.
+Digests are canonical strings rather than hashes; collision behavior is
+irrelevant to what is being tested and plain strings make traces
+debuggable. The protocol's message builders (``vote_message``,
+``value_message``, ``epoch_message``) return their digest string
+directly, so signing or verifying one renders nothing; ``digest_of`` maps
+a string to itself and renders a tuple ``(a,b,...)`` recursively.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ boundary. Everything is single-threaded and exact:
   float may order two times only when the floats differ; two distinct
   times with equal floats fall through to the exact ``Fraction`` compare;
 - timers measure durations on the owner's local clock, integrating its
-  rate schedule, and carry a generation counter so a cancel or re-measure
-  silently retires any queued expiration;
+  rate schedule. A timer is its generation number, ``timers[(pid, kind)]``:
+  measure and cancel both bump it, each generation is queued at most once,
+  and an expiration fires only if its generation is still the current one,
+  so a cancel or re-measure silently retires any queued expiration;
 - message delays are chosen by a DelayPolicy at send time and validated
   there: after GST a delay must lie in (0, delta], before GST it only has
   to be finite. The verdict depends only on the send instant and the
@@ -32,7 +34,8 @@ boundary. Everything is single-threaded and exact:
   the trace and the queue keep it, and the deliver event is built from it
   when it pops. A broadcast is one engine call that checks and refreshes
   once, then gives each copy its own seq, event, policy call and legality
-  check, in receiver order.
+  check, in receiver order. The trace is the only word tally: every copy
+  carries its words there.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Protocol
 
@@ -74,14 +76,6 @@ class AdversaryViolation(Exception):
     """An adversary-chosen delay or emission broke a model invariant."""
 
 
-@dataclass
-class TimerHandle:
-    owner: int
-    kind: str
-    generation: int = 0
-    pending: Optional[tuple[Fraction, int]] = None  # (expiry, generation)
-
-
 class DelayPolicy(Protocol):
     # receives one copy's send event: ev.time (the send instant), ev.payload, ev.receiver
     def deliver_at(self, ev: TraceEvent, sim: "Simulation") -> Fraction: ...
@@ -97,14 +91,13 @@ class MaxDelayPolicy:
 
 
 class ProcessContext:
-    """Per-process facade through which handlers act on the simulation."""
+    """Per-process facade through which handlers act on the simulation. It
+    keeps no record of its own: sends go to the trace, timers to
+    ``Simulation.timers``."""
 
     def __init__(self, sim: "Simulation", pid: int):
         self._sim = sim
         self.pid = pid
-        # (time, words) per point-to-point send: a word tally kept apart
-        # from the trace, so the two accountings can check each other
-        self.sent_log: list[tuple[Fraction, int]] = []
 
     @property
     def now(self) -> Fraction:
@@ -125,14 +118,11 @@ class ProcessContext:
     def send(self, receiver: int, payload, words: int = 1) -> None:
         if not (1 <= receiver <= self._sim.n):
             raise ValueError(f"unknown receiver {receiver}")
-        self.sent_log.append((self._sim.now, words))
         self._sim._send(self.pid, (receiver,), payload, words)
 
     def broadcast(self, payload, words: int = 1) -> None:
         # n point-to-point sends, self included, in process-id order
-        sim = self._sim
-        self.sent_log.extend([(sim.now, words)] * sim.n)
-        sim._send(self.pid, range(1, sim.n + 1), payload, words)
+        self._sim._send(self.pid, range(1, self._sim.n + 1), payload, words)
 
     def measure(self, kind: str, local_duration: Fraction) -> None:
         self._sim._timer_measure(self.pid, kind, local_duration)
@@ -183,8 +173,8 @@ class Simulation:
         self.trace = Trace(n, f, self.gst, self.delta, self.byzantine)
         self.nodes: dict[int, Node] = {}
         self.contexts = {p: ProcessContext(self, p) for p in range(1, n + 1)}
-        self.timers = {(p, k): TimerHandle(p, k)
-                       for p in range(1, n + 1) for k in TIMER_KINDS}
+        # (pid, kind) -> current generation; an unknown kind is a KeyError
+        self.timers = {(p, k): 0 for p in range(1, n + 1) for k in TIMER_KINDS}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
         self._undecided = sum(1 for p in range(1, n + 1) if p not in self.byzantine)
 
@@ -220,9 +210,6 @@ class Simulation:
     def add_node(self, pid: int, node: Node, start_at: SimTime) -> None:
         self.nodes[pid] = node
         self._push(Fraction(start_at), RANK_TIMER, pid, "start", None)
-
-    def is_correct(self, pid: int) -> bool:
-        return pid not in self.byzantine
 
     # -- internal effects --------------------------------------------------
 
@@ -286,16 +273,12 @@ class Simulation:
             enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
-        handle = self.timers[(pid, kind)]
-        handle.generation += 1
+        generation = self.timers[(pid, kind)] = self.timers[(pid, kind)] + 1
         expiry = self.clocks[pid].global_expiry(self.now, local_duration)
-        handle.pending = (expiry, handle.generation)
-        self._push(expiry, RANK_TIMER, pid, "timer", (kind, handle.generation))
+        self._push(expiry, RANK_TIMER, pid, "timer", (kind, generation))
 
     def _timer_cancel(self, pid: int, kind: str) -> None:
-        handle = self.timers[(pid, kind)]
-        handle.generation += 1
-        handle.pending = None
+        self.timers[(pid, kind)] += 1
 
     def _decide(self, pid: int, value) -> None:
         if pid in self.decisions:
@@ -364,10 +347,8 @@ class Simulation:
                         node.on_deliver(contexts[pid], data.sender, data.payload)
                     elif tag == "timer":
                         kind, generation = data
-                        handle = timers[(pid, kind)]
                         # skipped if canceled or superseded by a newer measure
-                        if handle.pending is not None and handle.pending[1] == generation:
-                            handle.pending = None
+                        if timers[(pid, kind)] == generation:
                             append(TraceEvent(time, pid, "timer",
                                               f"{kind}:gen{generation}", 0))
                             node.on_timer(contexts[pid], kind)

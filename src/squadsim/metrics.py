@@ -241,19 +241,6 @@ def sync_window_entries(trace: Trace, cfg, t_s: Optional[Fraction]) -> dict[int,
             for pid in trace.correct()}
 
 
-def handler_tally_words(sent_logs: dict[int, list], trace: Trace,
-                        gst: Fraction, t_d: Optional[Fraction]) -> int:
-    """Independent accounting path: per-handler outbound tallies."""
-    total = 0
-    for pid, log in sent_logs.items():
-        if pid in trace.byzantine:
-            continue
-        for t, words in log:
-            if t >= gst and (t_d is None or t <= t_d):
-                total += words
-    return total
-
-
 def fit_slope(points: dict[int, int]) -> float:
     """Least-squares slope of log(words) against log(n)."""
     xs = [math.log(n) for n in sorted(points)]
@@ -463,7 +450,6 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
         return []
     out = []
     correct = set(trace.correct())
-    threshold = {"quorum": 2 * cfg.f + 1, "cert": cfg.f + 1}
 
     def tsigs_in(obj):
         if isinstance(obj, ThresholdSignature):
@@ -483,10 +469,12 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
                 yield obj.cert.tsig
 
     def forged(tsig):
-        k = threshold.get(tsig.scheme, 0)
+        scheme = crypto.schemes.get(tsig.scheme)
+        if scheme is None:
+            return []
         signed = crypto.signers_for_digest(tsig.scheme, tsig.digest)
         honest = [s for s in tsig.signers if s in correct and s in signed]
-        if len(honest) < k - cfg.f:
+        if len(honest) < scheme.k - cfg.f:
             return [f"unforgeable_sigs: tsig {tsig.summary()} in a correct "
                     f"send has only {len(honest)} honest ledgered signers"]
         return []

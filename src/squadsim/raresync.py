@@ -31,8 +31,8 @@ def leader(view: int, n: int) -> int:
     return (view % n) + 1
 
 
-def epoch_message(epoch: int) -> tuple:
-    return ("epoch", epoch)
+def epoch_message(epoch: int) -> str:
+    return f"(epoch,{epoch})"
 
 
 @dataclass(frozen=True)

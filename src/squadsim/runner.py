@@ -31,8 +31,7 @@ def _protocol_node(cfg: ScenarioConfig, sim: Simulation, pid: int,
         pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
         synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
         view_duration=cfg.view_duration,
-        certified=(cfg.protocol == "squad"), beta=cfg.beta,
-        core_factory=core_factory)
+        certified=(cfg.protocol == "squad"), core_factory=core_factory)
 
 
 def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
@@ -66,8 +65,3 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     trace = sim.run(horizon=cfg.horizon)
     report = build_report(trace, cfg, sim.crypto)
     return RunResult(cfg, trace, report, sim)
-
-
-def sent_logs(sim: Simulation) -> dict[int, list]:
-    """Per-process (time, words) send tallies, kept apart from the trace."""
-    return {pid: ctx.sent_log for pid, ctx in sim.contexts.items()}

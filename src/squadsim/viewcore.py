@@ -51,8 +51,8 @@ NEXT_BROADCAST = {PHASE_PREPARE: PRECOMMIT,
                   PHASE_COMMIT: DECIDE}
 
 
-def vote_message(phase: str, value, view: int) -> tuple:
-    return ("vote", phase, value, view)
+def vote_message(phase: str, value, view: int) -> str:
+    return f"(vote,{phase},{value},{view})"
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from squadsim.consensus import value_message
 from squadsim.crypto import (CryptoSystem, MixedDigests, ThresholdSignature,
                              ThresholdTooSmall, digest_of)
+from squadsim.raresync import epoch_message
+from squadsim.viewcore import vote_message
 
 
 @pytest.fixture
@@ -110,3 +113,21 @@ def test_digest_is_canonical_serialization():
     assert digest_of(("vote", "prepare", 7, 12)) == "(vote,prepare,7,12)"
     assert digest_of("any value") == "any value"
     assert digest_of((("a", 1), 2)) == "((a,1),2)"
+
+
+_plain_values = st.one_of(st.integers(-10**6, 10**6), st.none(), st.text(max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plain_values, st.sampled_from(["prepare", "precommit", "commit"]),
+       st.integers(-5, 10**6))
+@example(None, "prepare", 3)
+@example(-99, "commit", -4)
+@example("any value", "precommit", 0)
+def test_message_builders_return_the_digest_of_their_tuple(value, phase, number):
+    assert vote_message(phase, value, number) == digest_of(("vote", phase, value, number))
+    assert value_message(value) == digest_of(("value", value))
+    assert epoch_message(number) == digest_of(("epoch", number))
+    # a builder's string is its own digest: signing it renders nothing new
+    assert digest_of(value_message(value)) == value_message(value)
+

@@ -113,6 +113,92 @@ def test_cancel_then_measure_fires_once():
     assert fired == [("timer", Fraction(1), "dissemination_timer")]
 
 
+class Rearmer:
+    """Node whose every timer callback takes the next action from a shared
+    script and applies it to its own process."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def on_start(self, ctx): ...
+    def on_deliver(self, ctx, sender, payload): ...
+
+    def on_timer(self, ctx, kind):
+        if self.script:
+            op, kind2, *duration = self.script.pop(0)
+            getattr(ctx, op)(kind2, *duration)
+
+
+def fire_reference(ops, script):
+    """Timers as plain armed expiries: (time, pid, detail) per firing.
+    Among due timers the least (expiry, pid, measure order) fires first,
+    as in the engine's (time, rank, pid, seq) queue order."""
+    script = list(script)
+    armed: dict = {}                     # (pid, kind) -> (expiry, order)
+    generation = {}
+    fired, now, order = [], Fraction(0), itertools.count()
+
+    def act(op, pid, kind, duration=None):
+        generation[pid, kind] = generation.get((pid, kind), 0) + 1
+        armed.pop((pid, kind), None)
+        if op == "measure":
+            armed[pid, kind] = (now + duration, next(order))
+
+    def advance(to):
+        nonlocal now
+        while armed:
+            (pid, kind), (t, _) = min(armed.items(),
+                                      key=lambda it: (it[1][0], it[0][0], it[1][1]))
+            if t > to:
+                break
+            now = t
+            del armed[pid, kind]
+            fired.append((t, pid, f"{kind}:gen{generation[pid, kind]}"))
+            if script:
+                op, kind2, *duration = script.pop(0)
+                act(op, pid, kind2, *duration)
+        now = to
+
+    for op, *args in ops:
+        if op == "advance":
+            advance(now + args[0])
+        else:
+            act(op, *args)
+    advance(now + 100)
+    return fired
+
+
+_durations = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+_kinds = st.sampled_from(["view_timer", "dissemination_timer"])
+_timer_op = st.one_of(
+    st.tuples(st.just("measure"), st.sampled_from([1, 2]), _kinds, _durations),
+    st.tuples(st.just("cancel"), st.sampled_from([1, 2]), _kinds),
+    st.tuples(st.just("advance"), _durations))
+_callback_op = st.one_of(st.tuples(st.just("measure"), _kinds, _durations),
+                         st.tuples(st.just("cancel"), _kinds))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_timer_op, max_size=25), st.lists(_callback_op, max_size=6))
+def test_timers_fire_as_a_reference_model_of_armed_expiries(ops, script):
+    sim = Simulation(4, 1, Fraction(0), Fraction(1), MaxDelayPolicy())
+    shared = list(script)
+    for p in range(1, 5):
+        sim.add_node(p, Rearmer(shared), Fraction(0))
+    drain(sim, horizon=Fraction(0))
+    for op, *args in ops:
+        if op == "advance":
+            to = sim.now + args[0]
+            drain(sim, horizon=to)
+            sim.now = to
+        else:
+            pid, *rest = args
+            getattr(sim.contexts[pid], op)(*rest)
+    trace = drain(sim, horizon=sim.now + 100)
+    fired = [(ev.time, ev.process, ev.detail) for ev in trace.events if ev.kind == "timer"]
+    assert fired == fire_reference(ops, script)
+
+
 def test_timer_integrates_local_clock():
     clocks = {p: ClockModel.drift_until(p, Fraction(1, 2), Fraction(100))
               for p in range(1, 5)}
@@ -519,7 +605,7 @@ def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide():
     checked = []
 
     def stop(s):
-        rescan = all(p in s.decisions for p in range(1, s.n + 1) if s.is_correct(p))
+        rescan = all(p in s.decisions for p in range(1, s.n + 1) if p not in s.byzantine)
         assert s.all_correct_decided() == rescan
         checked.append(rescan)
         return rescan

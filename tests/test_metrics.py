@@ -17,12 +17,10 @@ from squadsim.metrics import (ALL_CHECKS, check_cert_computability,
                               check_epoch_budget, check_invariants,
                               check_unforgeable_sigs,
                               count_words, decision_time, find_sync_time,
-                              handler_tally_words, sync_reference_time,
-                              sync_window_words)
-from squadsim.raresync import EnterEpochMsg
+                              sync_reference_time, sync_window_words)
+from squadsim.raresync import EnterEpochMsg, epoch_message
 from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
-from squadsim.runner import sent_logs
 from squadsim.trace import Trace, TraceEvent
 from tests.exact_times import exact_cases
 from tests.planted import PLANTED
@@ -66,14 +64,6 @@ def test_index_follows_events_appended_after_it_was_built():
     assert count_words(trace, Fraction(50), None) == 1
     trace.append(TraceEvent(Fraction(70), 2, "send", "x", 2))
     assert count_words(trace, Fraction(50), None) == 3
-
-
-def test_count_words_matches_handler_tally(happy_run):
-    trace, cfg = happy_run.trace, happy_run.config
-    t_d = decision_time(trace)
-    logs = sent_logs(happy_run.simulation)
-    assert count_words(trace, cfg.gst, t_d) == \
-        handler_tally_words(logs, trace, cfg.gst, t_d)
 
 
 # window membership is decided per time object; equal but distinct objects,
@@ -230,6 +220,21 @@ def test_forged_broadcast_is_reported_per_copy():
     out = check_unforgeable_sigs(trace, cfg, crypto)
     assert len(out) == 5
     assert len(set(out)) == 1 and "sig((epoch,3),{1,2,3})" in out[0]
+
+
+@pytest.mark.parametrize("scheme, honest, reported", [
+    ("quorum", 2, False), ("quorum", 1, True),   # k = 2f+1 needs f+1 honest
+    ("cert", 1, False), ("cert", 0, True),       # k = f+1 needs one honest
+    ("other", 0, False)])                        # an unknown scheme: no line
+def test_unforgeable_threshold_is_the_scheme_k(scheme, honest, reported):
+    crypto = CryptoSystem(4, 1)
+    for p in range(1, honest + 1):
+        crypto.share_sign(p, epoch_message(3), scheme)
+    tsig = ThresholdSignature(epoch_message(3), frozenset({1, 2, 3}), scheme)
+    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    _broadcast(trace, 7, 4, EnterEpochMsg(4, tsig), n=1)
+    out = check_unforgeable_sigs(trace, SimpleNamespace(f=1), crypto)
+    assert bool(out) is reported
 
 
 def test_qc_verdicts_are_kept_per_qc():
