@@ -130,9 +130,9 @@ class ProcessContext:
     def cancel(self, kind: str) -> None:
         self._sim._timer_cancel(self.pid, kind)
 
-    def log_advance(self, view: int, detail_extra: str = "") -> None:
+    def log_advance(self, view: int) -> None:
         self._sim.trace.events.append(TraceEvent(
-            self._sim.now, self.pid, "advance", f"v={view}{detail_extra}", 0, view))
+            self._sim.now, self.pid, "advance", f"v={view}", 0, view))
 
     def log_enter_epoch(self, epoch: int) -> None:
         self._sim.trace.events.append(TraceEvent(
@@ -170,7 +170,7 @@ class Simulation:
             self.clocks[p].validate(self.gst)
 
         self.now: Fraction = Fraction(0)
-        self.trace = Trace(n, f, self.gst, self.delta, self.byzantine)
+        self.trace = Trace()
         self.nodes: dict[int, Node] = {}
         self.contexts = {p: ProcessContext(self, p) for p in range(1, n + 1)}
         # (pid, kind) -> current generation; an unknown kind is a KeyError
@@ -294,10 +294,6 @@ class Simulation:
     def all_correct_decided(self) -> bool:
         return self._undecided == 0
 
-    def _finish(self) -> Trace:
-        self.trace.decided_all = self.all_correct_decided()
-        return self.trace
-
     def run(self, stop: Optional[Callable[["Simulation"], bool]] = None,
             horizon: Optional[SimTime] = None) -> Trace:
         if stop is None:
@@ -310,21 +306,21 @@ class Simulation:
         append = self.trace.events.append
         while True:
             if stop(self):
-                return self._finish()
+                return self.trace
             if not times:
                 if horizon_t is None:
                     raise LivelockError(self.trace)
                 # nothing left to happen; time passes quietly to the horizon
                 self.now = max(self.now, horizon_t)
                 self.trace.horizon_hit = not stop(self)
-                return self._finish()
+                return self.trace
             # horizon and monotonicity hold for a whole bucket, since all
             # its entries share one time; both are integer cross-products
             time = times[0][1]
             key = tn, td = time.numerator, time.denominator
             if horizon_t is not None and tn * hd > hn * td:
                 self.trace.horizon_hit = True
-                return self._finish()
+                return self.trace
             now = self.now
             assert tn * now.denominator >= now.numerator * td, \
                 "event queue went backwards"
@@ -357,4 +353,4 @@ class Simulation:
                 if not bucket:
                     break
                 if stop(self):
-                    return self._finish()
+                    return self.trace

@@ -20,6 +20,12 @@ Every extractor and checker reads a ``TraceIndex``: advances per
 process, first decisions, sends grouped by sender, emitted messages and
 deliveries, gathered in a single pass over ``trace.events`` and cached
 on the trace (``index_of``). No other code here walks the event list.
+The run facts derived from the index (correct pids, epoch entries, view
+intervals, the sync reference time, the first stable epoch, t_s, t_d and
+the epoch entries of the synchronizer window) are computed once each, on
+first read, by a ``RunFacts`` cached on the index (``facts_of``). It is
+keyed on the config values the facts read (n, f, gst, delta, byzantine),
+not on the config object, which builders and tests mutate in place.
 
 Exact predicates are decided once per distinct input and the verdict is
 replayed to every event sharing it: the n copies of a broadcast share one
@@ -45,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .consensus import ANY_VALUE_TAG, Certificate, CertificateMsg, AllowAnyMsg, \
@@ -60,7 +67,7 @@ CERT_MESSAGE_TYPES = (DiscloseMsg, AllowAnyMsg, CertificateMsg)
 
 
 # --------------------------------------------------------------------------
-# Trace index
+# Trace index and run facts
 # --------------------------------------------------------------------------
 
 class TraceIndex:
@@ -78,6 +85,7 @@ class TraceIndex:
         self.sends_by: dict[int, list[TraceEvent]] = {}
         self.emitted: list[TraceEvent] = []
         self.delivers: list[TraceEvent] = []
+        self.facts: Optional[RunFacts] = None
         for ev in trace.events:
             kind = ev.kind
             if kind == "send":
@@ -103,37 +111,6 @@ def index_of(trace: Trace) -> TraceIndex:
     return index
 
 
-# --------------------------------------------------------------------------
-# Extraction helpers
-# --------------------------------------------------------------------------
-
-def decide_times(trace: Trace) -> dict[int, tuple[Fraction, object]]:
-    return dict(index_of(trace).decisions)
-
-
-def decision_time(trace: Trace) -> Optional[Fraction]:
-    """First time by which all correct processes have decided."""
-    decided = index_of(trace).decisions
-    correct = trace.correct()
-    if any(p not in decided for p in correct):
-        return None
-    return max(decided[p][0] for p in correct)
-
-
-def advances(trace: Trace, pid: int) -> list[tuple[Fraction, int]]:
-    return index_of(trace).advances.get(pid, [])
-
-
-def view_intervals(trace: Trace, pid: int):
-    """(view, entry, exit) triples; exit None means 'until trace end'."""
-    seq = advances(trace, pid)
-    out = []
-    for i, (t, v) in enumerate(seq):
-        end = seq[i + 1][0] if i + 1 < len(seq) else None
-        out.append((v, t, end))
-    return out
-
-
 def epoch_of(view: int, f: int) -> int:
     return (view - 1) // (f + 1) + 1
 
@@ -142,65 +119,126 @@ def in_epoch_index(view: int, f: int) -> int:
     return (view - 1) % (f + 1) + 1
 
 
-def epoch_entries(trace: Trace, pid: int, f: int) -> list[tuple[Fraction, int]]:
-    return [(t, epoch_of(v, f)) for t, v in advances(trace, pid)
-            if v >= 1 and in_epoch_index(v, f) == 1]
+class RunFacts:
+    """The run facts of one index under the config values in ``key``, each
+    derived on its first read; per-process facts cover correct pids only."""
+
+    def __init__(self, index: TraceIndex, key: tuple, overlap: Fraction):
+        # no reference back to the index, which holds this object
+        self.key = key
+        self.n, self.f, gst, _, self.byzantine = key
+        self.gst = Fraction(gst)
+        self.overlap = overlap
+        self.correct = [p for p in range(1, self.n + 1) if p not in self.byzantine]
+        # pid -> [(time, view)] of each correct process, possibly empty
+        self.advances = {p: index.advances.get(p, []) for p in self.correct}
+        self.decisions = index.decisions
+
+    @cached_property
+    def entries(self) -> dict[int, list[tuple[Fraction, int]]]:
+        """pid -> (time, epoch) per entry to the first view of an epoch."""
+        return {pid: [(t, epoch_of(v, self.f)) for t, v in seq
+                      if v >= 1 and in_epoch_index(v, self.f) == 1]
+                for pid, seq in self.advances.items()}
+
+    @cached_property
+    def views(self) -> dict[int, tuple[Fraction, Optional[Fraction]]]:
+        """view -> (last entry, first exit) over the correct processes, for
+        each view all of them entered; exit None means 'until trace end'."""
+        members: dict[int, dict[int, tuple[Fraction, Optional[Fraction]]]] = {}
+        for pid, seq in self.advances.items():
+            exits = [t for t, _ in seq[1:]] + [None]
+            for (t, v), end in zip(seq, exits):
+                members.setdefault(v, {})[pid] = (t, end)
+        out = {}
+        for v, spans in members.items():
+            if len(spans) == len(self.correct):
+                ends = [e for _, e in spans.values() if e is not None]
+                out[v] = (max(s for s, _ in spans.values()), min(ends, default=None))
+        return out
+
+    @cached_property
+    def sync_reference(self) -> Fraction:
+        """GST, pushed later if some correct process only began running its
+        synchronizer after GST (the certified composition may do that); all
+        entry-latency bounds are relative to the moment every correct process
+        is both stabilized and running."""
+        return max([self.gst] + [seq[0][0] for seq in self.advances.values() if seq])
+
+    @cached_property
+    def stable_epochs(self) -> tuple[int, Optional[int], Optional[Fraction]]:
+        """(e_max, e_final, t_e_final) relative to the sync reference time."""
+        t0 = self.sync_reference
+        firsts: dict[int, Fraction] = {}   # epoch -> first correct entry
+        e_max = 0
+        for mine in self.entries.values():
+            for t, e in mine:
+                if e not in firsts or t < firsts[e]:
+                    firsts[e] = t
+                if t < t0 and e > e_max:
+                    e_max = e
+        e_final = min((e for e, t in firsts.items() if t >= t0), default=None)
+        return e_max, e_final, firsts.get(e_final)
+
+    @cached_property
+    def t_s(self) -> Optional[Fraction]:
+        """Earliest t >= GST with every correct process in one correct-led
+        view throughout [t, t + overlap]."""
+        best = None
+        for v, (start, end) in self.views.items():
+            t = max(self.gst, start)
+            if (leader(v, self.n) not in self.byzantine
+                    and (end is None or end - t >= self.overlap)
+                    and (best is None or t < best)):
+                best = t
+        return best
+
+    @cached_property
+    def t_d(self) -> Optional[Fraction]:
+        """First time by which all correct processes have decided."""
+        decided = self.decisions
+        if any(p not in decided for p in self.correct):
+            return None
+        return max(decided[p][0] for p in self.correct)
+
+    @cached_property
+    def window_entries(self) -> dict[int, int]:
+        """Epoch entries per correct process in [GST, t_s + overlap] (t_s
+        None: unbounded)."""
+        hi = None if self.t_s is None else self.t_s + self.overlap
+        return {pid: sum(1 for t, _ in mine
+                         if t >= self.gst and (hi is None or t <= hi))
+                for pid, mine in self.entries.items()}
+
+
+def facts_of(trace: Trace, cfg) -> RunFacts:
+    """The run facts cached on the trace's index, derived again when the
+    trace grew or a config value they read changed."""
+    index = index_of(trace)
+    key = (cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.byzantine)
+    if index.facts is None or index.facts.key != key:
+        index.facts = RunFacts(index, key, cfg.overlap)
+    return index.facts
+
+
+# --------------------------------------------------------------------------
+# Extraction helpers
+# --------------------------------------------------------------------------
+
+def decision_time(trace: Trace, cfg) -> Optional[Fraction]:
+    return facts_of(trace, cfg).t_d
 
 
 def sync_reference_time(trace: Trace, cfg) -> Fraction:
-    """GST, pushed later if some correct process only began running its
-    synchronizer after GST (the certified composition may do that); all
-    entry-latency bounds are relative to the moment every correct process
-    is both stabilized and running."""
-    t0 = Fraction(cfg.gst)
-    for pid in trace.correct():
-        seq = advances(trace, pid)
-        if seq:
-            t0 = max(t0, seq[0][0])
-    return t0
+    return facts_of(trace, cfg).sync_reference
 
 
 def stable_epochs(trace: Trace, cfg) -> tuple[int, Optional[int], Optional[Fraction]]:
-    """(e_max, e_final, t_e_final) relative to the sync reference time."""
-    t0 = sync_reference_time(trace, cfg)
-    firsts: dict[int, Fraction] = {}   # epoch -> first correct entry
-    e_max = 0
-    for pid in trace.correct():
-        for t, e in epoch_entries(trace, pid, cfg.f):
-            if e not in firsts or t < firsts[e]:
-                firsts[e] = t
-            if t < t0 and e > e_max:
-                e_max = e
-    candidates = [e for e, t in firsts.items() if t >= t0]
-    if not candidates:
-        return e_max, None, None
-    e_final = min(candidates)
-    return e_max, e_final, firsts[e_final]
+    return facts_of(trace, cfg).stable_epochs
 
 
 def find_sync_time(trace: Trace, cfg) -> Optional[Fraction]:
-    """Earliest t >= GST with every correct process in one correct-led view
-    throughout [t, t + overlap]."""
-    correct = trace.correct()
-    overlap = cfg.overlap
-    per_view: dict[int, dict[int, tuple[Fraction, Optional[Fraction]]]] = {}
-    for pid in correct:
-        for v, start, end in view_intervals(trace, pid):
-            per_view.setdefault(v, {})[pid] = (start, end)
-    best = None
-    for v, members in per_view.items():
-        if len(members) != len(correct):
-            continue
-        if leader(v, cfg.n) in trace.byzantine:
-            continue
-        start = max(s for s, _ in members.values())
-        ends = [e for _, e in members.values() if e is not None]
-        end = min(ends) if ends else None
-        t = max(Fraction(cfg.gst), start)
-        if end is None or end - t >= overlap:
-            if best is None or t < best:
-                best = t
-    return best
+    return facts_of(trace, cfg).t_s
 
 
 def _window_words(trace: Trace, lo: Fraction, hi: Optional[Fraction],
@@ -232,15 +270,6 @@ def sync_window_words(trace: Trace, cfg, t_s: Optional[Fraction]) -> int:
     return _window_words(trace, cfg.gst, hi, SYNC_MESSAGE_TYPES)
 
 
-def sync_window_entries(trace: Trace, cfg, t_s: Optional[Fraction]) -> dict[int, int]:
-    """Epoch entries per correct process in [GST, t_s + overlap] (t_s None:
-    unbounded)."""
-    hi = None if t_s is None else t_s + cfg.overlap
-    return {pid: sum(1 for t, _ in epoch_entries(trace, pid, cfg.f)
-                     if t >= cfg.gst and (hi is None or t <= hi))
-            for pid in trace.correct()}
-
-
 def fit_slope(points: dict[int, int]) -> float:
     """Least-squares slope of log(words) against log(n)."""
     xs = [math.log(n) for n in sorted(points)]
@@ -255,22 +284,20 @@ def fit_slope(points: dict[int, int]) -> float:
 # Invariant checkers. Each returns a list of violation descriptions.
 # --------------------------------------------------------------------------
 
-def check_monotonic_views(trace, cfg, crypto=None):
+def check_monotonic_views(trace, cfg, crypto):
     out = []
-    for pid in trace.correct():
-        seq = advances(trace, pid)
+    for pid, seq in facts_of(trace, cfg).advances.items():
         for (t1, v1), (t2, v2) in zip(seq, seq[1:]):
             if v2 <= v1:
                 out.append(f"monotonic_views: P{pid} advanced {v1} then {v2}")
     return out
 
 
-def check_no_view_skip(trace, cfg, crypto=None):
+def check_no_view_skip(trace, cfg, crypto):
     out = []
-    for pid in trace.correct():
-        seq = [v for _, v in advances(trace, pid)]
+    for pid, seq in facts_of(trace, cfg).advances.items():
         prev = None
-        for v in seq:
+        for _, v in seq:
             if in_epoch_index(v, cfg.f) != 1 and prev != v - 1:
                 out.append(f"no_view_skip: P{pid} entered mid-epoch view {v} "
                            f"without view {v - 1}")
@@ -278,12 +305,12 @@ def check_no_view_skip(trace, cfg, crypto=None):
     return out
 
 
-def check_view_bounds(trace, cfg, crypto=None):
+def check_view_bounds(trace, cfg, crypto):
     out = []
     limit = cfg.f + 1
-    for pid in trace.correct():
+    for pid, seq in facts_of(trace, cfg).advances.items():
         per_epoch: dict[int, int] = {}
-        for _, v in advances(trace, pid):
+        for _, v in seq:
             if v < 1:
                 out.append(f"view_bounds: P{pid} advanced to view {v}")
                 continue
@@ -295,24 +322,23 @@ def check_view_bounds(trace, cfg, crypto=None):
     return out
 
 
-def check_epoch_entry_quorum(trace, cfg, crypto=None):
+def check_epoch_entry_quorum(trace, cfg, crypto):
     out = []
-    correct = trace.correct()
-    entries = {pid: epoch_entries(trace, pid, cfg.f) for pid in correct}
-    for pid in correct:
-        for t, e in entries[pid]:
+    entries = facts_of(trace, cfg).entries
+    for pid, mine in entries.items():
+        for t, e in mine:
             if e <= 1:
                 continue
             supporters = sum(
-                1 for q in correct
-                if any(eq == e - 1 and tq <= t for tq, eq in entries[q]))
+                1 for theirs in entries.values()
+                if any(eq == e - 1 and tq <= t for tq, eq in theirs))
             if supporters < cfg.f + 1:
                 out.append(f"epoch_entry_quorum: P{pid} entered epoch {e} at {t} "
                            f"with only {supporters} correct entries to {e - 1}")
     return out
 
 
-def check_quiet_period(trace, cfg, crypto=None):
+def check_quiet_period(trace, cfg, crypto):
     out = []
     _, e_final, t_ef = stable_epochs(trace, cfg)
     if e_final is None:
@@ -326,14 +352,14 @@ def check_quiet_period(trace, cfg, crypto=None):
     return out
 
 
-def check_tight_entry(trace, cfg, crypto=None):
+def check_tight_entry(trace, cfg, crypto):
     out = []
     _, e_final, t_ef = stable_epochs(trace, cfg)
     if e_final is None:
         return out
     end_time = index_of(trace).end_time
-    for pid in trace.correct():
-        mine = [t for t, e in epoch_entries(trace, pid, cfg.f) if e == e_final]
+    for pid, entries in facts_of(trace, cfg).entries.items():
+        mine = [t for t, e in entries if e == e_final]
         if not mine:
             if end_time > t_ef + 2 * cfg.delta:
                 out.append(f"tight_entry: P{pid} never entered epoch {e_final} "
@@ -345,29 +371,22 @@ def check_tight_entry(trace, cfg, crypto=None):
     return out
 
 
-def check_view_overlap(trace, cfg, crypto=None):
+def check_view_overlap(trace, cfg, crypto):
     out = []
     _, e_final, _ = stable_epochs(trace, cfg)
     if e_final is None:
         return out
-    correct = trace.correct()
+    views = facts_of(trace, cfg).views
     lo = (e_final - 1) * (cfg.f + 1) + 1
-    views = range(lo, lo + cfg.f + 1)
-    intervals = {pid: {v: (s, e) for v, s, e in view_intervals(trace, pid)}
-                 for pid in correct}
-    for v in views:
-        if any(v not in intervals[pid] for pid in correct):
-            continue
-        start = max(intervals[pid][v][0] for pid in correct)
-        ends = [intervals[pid][v][1] for pid in correct
-                if intervals[pid][v][1] is not None]
-        if ends and min(ends) - start < cfg.overlap:
+    for v in range(lo, lo + cfg.f + 1):
+        start, end = views.get(v, (None, None))
+        if end is not None and end - start < cfg.overlap:
             out.append(f"view_overlap: view {v} of epoch {e_final} overlapped only "
-                       f"{min(ends) - start} < {cfg.overlap}")
+                       f"{end - start} < {cfg.overlap}")
     return out
 
 
-def check_entry_bound(trace, cfg, crypto=None):
+def check_entry_bound(trace, cfg, crypto):
     out = []
     t0 = sync_reference_time(trace, cfg)
     _, e_final, t_ef = stable_epochs(trace, cfg)
@@ -382,22 +401,21 @@ def check_entry_bound(trace, cfg, crypto=None):
     return out
 
 
-def check_epoch_budget(trace, cfg, crypto=None):
+def check_epoch_budget(trace, cfg, crypto):
     out = []
     t_s = find_sync_time(trace, cfg)
     if t_s is None:
         return out
-    for pid, cnt in sync_window_entries(trace, cfg, t_s).items():
+    for pid, cnt in facts_of(trace, cfg).window_entries.items():
         if cnt > 4:
             out.append(f"epoch_budget: P{pid} entered {cnt} epochs in "
                        f"[{cfg.gst}, {t_s + cfg.overlap}]")
     return out
 
 
-def check_entry_spacing(trace, cfg, crypto=None):
+def check_entry_spacing(trace, cfg, crypto):
     out = []
-    for pid in trace.correct():
-        entries = epoch_entries(trace, pid, cfg.f)
+    for pid, entries in facts_of(trace, cfg).entries.items():
         for (t1, e1), (t2, e2) in zip(entries, entries[1:]):
             if t1 >= cfg.gst and t2 - t1 < cfg.delta:
                 out.append(f"entry_spacing: P{pid} entered epochs {e1},{e2} only "
@@ -405,22 +423,22 @@ def check_entry_spacing(trace, cfg, crypto=None):
     return out
 
 
-def check_epoch_succession(trace, cfg, crypto=None):
+def check_epoch_succession(trace, cfg, crypto):
     e_max, e_final, _ = stable_epochs(trace, cfg)
     if e_final is not None and e_final != e_max + 1:
         return [f"epoch_succession: e_final={e_final} but e_max={e_max}"]
     return []
 
 
-def check_agreement(trace, cfg, crypto=None):
-    values = {v for p, (_, v) in decide_times(trace).items()
-              if p not in trace.byzantine}
+def check_agreement(trace, cfg, crypto):
+    values = {v for p, (_, v) in index_of(trace).decisions.items()
+              if p not in cfg.byzantine}
     if len(values) > 1:
         return [f"agreement: correct processes decided {sorted(map(str, values))}"]
     return []
 
 
-def check_conflicting_qcs(trace, cfg, crypto=None):
+def check_conflicting_qcs(trace, cfg, crypto):
     seen: dict[tuple, object] = {}
     out = []
     reported = set()
@@ -429,13 +447,12 @@ def check_conflicting_qcs(trace, cfg, crypto=None):
         qc = ev.payload.qc if isinstance(ev.payload, CoreMessage) else None
         if qc is None:
             continue
-        if crypto is not None:
-            ok = verified.get(id(qc))
-            if ok is None:
-                ok = verified[id(qc)] = crypto.combined_verify(
-                    vote_message(qc.phase, qc.value, qc.view), qc.sig)
-            if not ok:
-                continue
+        ok = verified.get(id(qc))
+        if ok is None:
+            ok = verified[id(qc)] = crypto.combined_verify(
+                vote_message(qc.phase, qc.value, qc.view), qc.sig)
+        if not ok:
+            continue
         key = (qc.phase, qc.view)
         if key in seen and seen[key] != qc.value and key not in reported:
             reported.add(key)
@@ -445,11 +462,9 @@ def check_conflicting_qcs(trace, cfg, crypto=None):
     return out
 
 
-def check_unforgeable_sigs(trace, cfg, crypto=None):
-    if crypto is None:
-        return []
+def check_unforgeable_sigs(trace, cfg, crypto):
     out = []
-    correct = set(trace.correct())
+    correct = set(facts_of(trace, cfg).correct)
 
     def tsigs_in(obj):
         if isinstance(obj, ThresholdSignature):
@@ -496,7 +511,7 @@ def check_unforgeable_sigs(trace, cfg, crypto=None):
     return out
 
 
-def check_core_word_budget(trace, cfg, crypto=None):
+def check_core_word_budget(trace, cfg, crypto):
     out = []
     per: dict[tuple[int, int], int] = {}
     for ev in index_of(trace).sends:
@@ -511,7 +526,7 @@ def check_core_word_budget(trace, cfg, crypto=None):
     return out
 
 
-def check_message_words(trace, cfg, crypto=None):
+def check_message_words(trace, cfg, crypto):
     out = []
     for ev in index_of(trace).sends:
         if ev.words < 1:
@@ -520,7 +535,7 @@ def check_message_words(trace, cfg, crypto=None):
     return out
 
 
-def check_delay_bounds(trace, cfg, crypto=None):
+def check_delay_bounds(trace, cfg, crypto):
     out = []
     index = index_of(trace)
     sends = {ev.seq: ev for ev in index.emitted if ev.seq is not None}
@@ -574,29 +589,21 @@ def _verified_cert(payload, crypto):
     return None
 
 
-def _verifying_certs(trace, crypto):
-    """(event, value, cert) per emission of a verifying certificate; each
-    distinct payload is verified once, keyed by id (the trace keeps it)."""
-    verdicts: dict[int, Optional[tuple]] = {}
-    for ev in index_of(trace).emitted:
-        key = id(ev.payload)
-        if key in verdicts:
-            hit = verdicts[key]
-        else:
-            hit = verdicts[key] = _verified_cert(ev.payload, crypto)
-        if hit is not None:
-            yield ev, hit[0], hit[1]
-
-
-def check_cert_computability(trace, cfg, crypto=None):
-    if crypto is None or cfg.protocol != "squad":
-        return []
-    proposals = {cfg.proposals[p] for p in trace.correct()}
+def check_cert_computability(trace, cfg, crypto):
+    proposals = {cfg.proposals[p] for p in facts_of(trace, cfg).correct}
     if len(proposals) != 1:
         return []
     v = proposals.pop()
     out = []
-    for ev, value, cert in _verifying_certs(trace, crypto):
+    # each distinct payload is verified once, keyed by id (the trace keeps it)
+    verdicts: dict[int, Optional[tuple]] = {}
+    for ev in index_of(trace).emitted:
+        key = id(ev.payload)
+        if key not in verdicts:
+            verdicts[key] = _verified_cert(ev.payload, crypto)
+        if verdicts[key] is None:
+            continue
+        value, cert = verdicts[key]
         if value is None:
             out.append(f"cert_computability: any-value certificate "
                        f"{cert.summary()} appeared despite unanimity on {v}")
@@ -606,13 +613,11 @@ def check_cert_computability(trace, cfg, crypto=None):
     return out
 
 
-def check_cert_liveness(trace, cfg, crypto=None):
-    if cfg.protocol != "squad":
-        return []
+def check_cert_liveness(trace, cfg, crypto):
     out = []
     deadline = cfg.gst + 2 * cfg.delta
     sends_by = index_of(trace).sends_by
-    for pid in trace.correct():
+    for pid in facts_of(trace, cfg).correct:
         exits = [ev.time for ev in sends_by.get(pid, ())
                  if isinstance(ev.payload, CertificateMsg)]
         if not exits:
@@ -623,12 +628,10 @@ def check_cert_liveness(trace, cfg, crypto=None):
     return out
 
 
-def check_cert_word_budget(trace, cfg, crypto=None):
-    if cfg.protocol != "squad":
-        return []
+def check_cert_word_budget(trace, cfg, crypto):
     out = []
     sends_by = index_of(trace).sends_by
-    for pid in trace.correct():
+    for pid in facts_of(trace, cfg).correct:
         cnt = sum(1 for ev in sends_by.get(pid, ())
                   if isinstance(ev.payload, CERT_MESSAGE_TYPES))
         if cnt > 3 * cfg.n:
@@ -638,7 +641,6 @@ def check_cert_word_budget(trace, cfg, crypto=None):
 
 
 RARESYNC_CHECKS = {
-    "monotonic_views": check_monotonic_views,
     "no_view_skip": check_no_view_skip,
     "view_bounds": check_view_bounds,
     "epoch_entry_quorum": check_epoch_entry_quorum,
@@ -683,7 +685,7 @@ def checks_for(protocol: str) -> dict:
     return checks
 
 
-def check_invariants(trace: Trace, cfg, crypto=None) -> list[str]:
+def check_invariants(trace: Trace, cfg, crypto) -> list[str]:
     out = []
     for name, fn in checks_for(cfg.protocol).items():
         out.extend(fn(trace, cfg, crypto))
@@ -707,7 +709,6 @@ class MetricsReport:
     t_s: Optional[Fraction] = None
     t_d: Optional[Fraction] = None
     latency: Optional[Fraction] = None
-    epochs_entered: dict[int, int] = field(default_factory=dict)
     epochs_max: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -726,20 +727,15 @@ CSV_HEADER = ("protocol,n,f,seed,scenario,words_post_gst,words_sync_window,"
               "t_s,t_d,latency,epochs_max,violations")
 
 
-def build_report(trace: Trace, cfg, crypto=None) -> MetricsReport:
-    index_of(trace)   # built here so its cost is not billed to a checker
-    t_d = decision_time(trace)
-    t_s = find_sync_time(trace, cfg)
-    words = count_words(trace, cfg.gst, t_d)
-    sync_words = sync_window_words(trace, cfg, t_s)
-    violations = check_invariants(trace, cfg, crypto)
-    entries = sync_window_entries(trace, cfg, t_s)
+def build_report(trace: Trace, cfg, crypto) -> MetricsReport:
+    facts = facts_of(trace, cfg)   # the index is built here, not billed to a checker
+    t_d, t_s = facts.t_d, facts.t_s
     latency = None if t_d is None else max(Fraction(0), t_d - cfg.gst)
     return MetricsReport(
         protocol=cfg.protocol, n=cfg.n, f=cfg.f, seed=cfg.seed,
-        scenario=cfg.name, decided=trace.decided_all,
-        words_post_gst=words, words_sync_window=sync_words,
+        scenario=cfg.name, decided=t_d is not None,
+        words_post_gst=count_words(trace, cfg.gst, t_d),
+        words_sync_window=sync_window_words(trace, cfg, t_s),
         t_s=t_s, t_d=t_d, latency=latency,
-        epochs_entered=entries,
-        epochs_max=max(entries.values(), default=0),
-        violations=violations)
+        epochs_max=max(facts.window_entries.values(), default=0),
+        violations=check_invariants(trace, cfg, crypto))

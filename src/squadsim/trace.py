@@ -10,6 +10,11 @@ post-hoc checkers can inspect messages without parsing detail strings.
 Message events (send, byz, deliver) are logged without a detail string:
 it is rendered from the payload when the line is written, which is exact
 because every payload is immutable (frozen dataclasses, ints, strings).
+
+A ``Trace`` holds only its events, whether the run stopped at its horizon,
+and the index the metrics cache on it. It keeps no copy of the run's
+configuration: readers take n, f, GST, delta and the Byzantine set from
+the config they check against.
 """
 
 from __future__ import annotations
@@ -56,22 +61,13 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    n: int
-    f: int
-    gst: Fraction
-    delta: Fraction
-    byzantine: frozenset[int]
     events: list[TraceEvent] = field(default_factory=list)
-    decided_all: bool = False
     horizon_hit: bool = False
     # metrics.TraceIndex over ``events``, built and refreshed by metrics.index_of
     index: Any = field(default=None, compare=False, repr=False)
 
     def append(self, ev: TraceEvent) -> None:
         self.events.append(ev)
-
-    def correct(self) -> list[int]:
-        return [p for p in range(1, self.n + 1) if p not in self.byzantine]
 
     def serialize(self) -> str:
         # one summary per distinct payload: a broadcast's n sends and n

@@ -33,7 +33,7 @@ class FakeContext:
     def cancel(self, kind):
         self.timers.append(("cancel", kind))
 
-    def log_advance(self, view, detail_extra=""):
+    def log_advance(self, view):
         self.advances.append(view)
 
     def log_enter_epoch(self, epoch):

@@ -22,33 +22,28 @@ def _advance(trace, time, pid, view):
                             payload=view))
 
 
-def _fresh(cfg):
-    return Trace(cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.byzantine)
-
-
 def plant_monotonic_views(cfg, crypto, base):
-    t = Trace(cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.byzantine,
-              events=list(base.events))
+    t = Trace(events=list(base.events))
     _advance(t, 5, 1, 5)
     _advance(t, 6, 1, 3)
     return t
 
 
 def plant_no_view_skip(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     _advance(t, 1, 1, 1)
     _advance(t, 2, 1, (cfg.f + 1) + 2)   # mid-epoch view without predecessor
     return t
 
 
 def plant_view_bounds(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     _advance(t, 1, 2, 0)
     return t
 
 
 def plant_epoch_entry_quorum(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     _advance(t, 1, 1, 1)
     _advance(t, 2, 1, cfg.f + 2)   # epoch 2 with nobody through epoch 1
     return t
@@ -56,8 +51,7 @@ def plant_epoch_entry_quorum(cfg, crypto, base):
 
 def plant_quiet_period(cfg, crypto, base):
     _, e_final, t_ef = stable_epochs(base, cfg)
-    t = Trace(cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.byzantine,
-              events=list(base.events))
+    t = Trace(events=list(base.events))
     psig = crypto.share_sign(1, epoch_message(e_final), "quorum")
     t.append(TraceEvent(t_ef + cfg.epoch_duration / 2, 1, "send", "EC", 1,
                         payload=EpochCompletedMsg(e_final, psig)))
@@ -70,11 +64,11 @@ def plant_tight_entry(cfg, crypto, base):
     events = [ev for ev in base.events
               if not (ev.kind == "advance" and ev.process == 1
                       and epoch_of(ev.payload, cfg.f) == e_final)]
-    return Trace(cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.byzantine, events=events)
+    return Trace(events=events)
 
 
 def plant_view_overlap(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     for pid in range(1, cfg.n + 1):
         if pid not in cfg.byzantine:
             _advance(t, cfg.gst, pid, 1)
@@ -84,7 +78,7 @@ def plant_view_overlap(cfg, crypto, base):
 
 
 def plant_entry_bound(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     late = cfg.gst + cfg.epoch_duration + 4 * cfg.delta + 1
     correct = [p for p in range(1, cfg.n + 1) if p not in cfg.byzantine]
     for pid in correct:
@@ -95,7 +89,7 @@ def plant_entry_bound(cfg, crypto, base):
 
 
 def plant_epoch_budget(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     span = cfg.f + 1
     for i in range(5):   # five epoch entries right after GST
         _advance(t, cfg.gst + i, 1, i * span + 1)
@@ -109,28 +103,28 @@ def plant_epoch_budget(cfg, crypto, base):
 
 
 def plant_entry_spacing(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     _advance(t, cfg.gst + 1, 1, cfg.f + 2)
     _advance(t, cfg.gst + 1 + cfg.delta / 2, 1, 2 * (cfg.f + 1) + 1)
     return t
 
 
 def plant_epoch_succession(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     _advance(t, cfg.gst - 1, 1, 1)
     _advance(t, cfg.gst + 1, 1, 2 * (cfg.f + 1) + 1)   # jumps to epoch 3
     return t
 
 
 def plant_agreement(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     t.append(TraceEvent(Fraction(1), 1, "decide", "value=1", 0, payload=1))
     t.append(TraceEvent(Fraction(2), 2, "decide", "value=2", 0, payload=2))
     return t
 
 
 def plant_conflicting_qcs(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     quorum = 2 * cfg.f + 1
     for value, lo in (("a", 1), ("b", 2)):
         signers = list(range(lo, lo + quorum))
@@ -145,7 +139,7 @@ def plant_conflicting_qcs(cfg, crypto, base):
 
 
 def plant_unforgeable_sigs(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     forged = ThresholdSignature("(vote,prepare,66,9)",
                                 frozenset(range(1, 2 * cfg.f + 2)), "quorum")
     qc = QuorumCertificate(PHASE_PREPARE, 66, 9, forged)
@@ -155,7 +149,7 @@ def plant_unforgeable_sigs(cfg, crypto, base):
 
 
 def plant_core_word_budget(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     for i in range(5):
         t.append(TraceEvent(Fraction(1 + i), 1, "send", "m", 1,
                             payload=CoreMessage("PREPARE-VOTE", 1, value=1)))
@@ -163,13 +157,13 @@ def plant_core_word_budget(cfg, crypto, base):
 
 
 def plant_message_words(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     t.append(TraceEvent(Fraction(1), 1, "send", "m", 0))
     return t
 
 
 def plant_delay_bounds(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     t.append(TraceEvent(cfg.gst + 1, 1, "send", "m", 1, sender=1, receiver=2,
                         seq=77))
     t.append(TraceEvent(cfg.gst + 1 + 2 * cfg.delta, 2, "deliver", "m", 0,
@@ -178,7 +172,7 @@ def plant_delay_bounds(cfg, crypto, base):
 
 
 def plant_cert_computability(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
                            for p in range(1, cfg.f + 2)])
     t.append(TraceEvent(Fraction(1), 1, "send", "m", 1,
@@ -187,11 +181,11 @@ def plant_cert_computability(cfg, crypto, base):
 
 
 def plant_cert_liveness(cfg, crypto, base):
-    return _fresh(cfg)   # nobody ever exits certification
+    return Trace()   # nobody ever exits certification
 
 
 def plant_cert_word_budget(cfg, crypto, base):
-    t = _fresh(cfg)
+    t = Trace()
     psig = crypto.share_sign(1, value_message(7), "cert")
     for i in range(3 * cfg.n + 1):
         t.append(TraceEvent(Fraction(i), 1, "send", "m", 1,

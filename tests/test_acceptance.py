@@ -17,7 +17,7 @@ from squadsim import (equivocate, happy, randomized, run_scenario, scenario_s,
 from squadsim.consensus import AllowAnyMsg, CertificateMsg, DiscloseMsg
 from squadsim.engine import MaxDelayPolicy
 from squadsim.metrics import (ALL_CHECKS, check_agreement,
-                              check_conflicting_qcs, epoch_entries, fit_slope,
+                              check_conflicting_qcs, facts_of, fit_slope,
                               stable_epochs)
 from squadsim.raresync import EpochCompletedMsg
 from tests.planted import PLANTED
@@ -50,17 +50,14 @@ class RunSummary:
 def summarize(res) -> RunSummary:
     cfg, trace, report = res.config, res.trace, res.report
     crypto = res.simulation.crypto
-    _, e_final, t_ef = stable_epochs(trace, cfg)
+    facts = facts_of(trace, cfg)
+    _, e_final, t_ef = facts.stable_epochs
     spread = None
     if e_final is not None:
-        entries = []
-        for pid in trace.correct():
-            mine = [t for t, e in epoch_entries(trace, pid, cfg.f)
-                    if e == e_final]
-            if mine:
-                entries.append(mine[0])
-        if len(entries) == len(trace.correct()):
-            spread = max(entries) - t_ef
+        firsts = [next((t for t, e in mine if e == e_final), None)
+                  for mine in facts.entries.values()]
+        if None not in firsts:
+            spread = max(firsts) - t_ef
     return RunSummary(
         n=cfg.n, f=cfg.f, seed=cfg.seed, decided=report.decided,
         violations=len(report.violations),
@@ -209,7 +206,7 @@ def test_criterion_7_certification_phase():
         cfg.policy = MaxDelayPolicy()
         res = run_scenario(cfg)
         deadline = cfg.gst + 2 * cfg.delta
-        for pid in res.trace.correct():
+        for pid in facts_of(res.trace, cfg).correct:
             exit_time = min(ev.time for ev in res.trace.events
                             if ev.kind == "send" and ev.process == pid
                             and isinstance(ev.payload, CertificateMsg))
@@ -221,7 +218,7 @@ def test_criterion_7_certification_phase():
             assert sent <= 3 * n
         for seed in range(1, 11):   # jittered delays: exits never later
             res = run_scenario(happy(n, seed, "squad"))
-            for pid in res.trace.correct():
+            for pid in facts_of(res.trace, res.config).correct:
                 exit_time = min(ev.time for ev in res.trace.events
                                 if ev.kind == "send" and ev.process == pid
                                 and isinstance(ev.payload, CertificateMsg))

@@ -1,23 +1,27 @@
 """Metric extraction and invariant checkers, including one planted defect
 per checker so none of them can pass vacuously."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from squadsim import happy, run_scenario, worst_case
+from squadsim import (build_report, build_simulation, happy, run_scenario,
+                      worst_case)
 from squadsim.baselines import WishMsg
 from squadsim.consensus import Certificate, CertificateMsg, value_message
 from squadsim.crypto import CryptoSystem, ThresholdSignature, digest_of
-from squadsim.metrics import (ALL_CHECKS, check_cert_computability,
+from squadsim.metrics import (ALL_CHECKS, RunFacts, check_cert_computability,
                               check_conflicting_qcs, check_delay_bounds,
                               check_epoch_budget, check_invariants,
                               check_unforgeable_sigs,
                               count_words, decision_time, find_sync_time,
-                              sync_reference_time, sync_window_words)
+                              stable_epochs, sync_reference_time,
+                              sync_window_words)
 from squadsim.raresync import EnterEpochMsg, epoch_message
 from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
@@ -45,21 +49,21 @@ def advance(trace, time, pid, view):
 
 def test_count_words_window(happy_run):
     trace, cfg = happy_run.trace, happy_run.config
-    t_d = decision_time(trace)
+    t_d = decision_time(trace, cfg)
     assert count_words(trace, cfg.gst, t_d) == 32
     # everything in this run is sent at or after GST
     assert count_words(trace, cfg.gst + 100, t_d) == 0
 
 
 def test_all_sends_before_gst_count_zero():
-    trace = Trace(4, 1, Fraction(50), Fraction(1), frozenset())
+    trace = Trace()
     for t in (10, 20, 30):
         trace.append(TraceEvent(Fraction(t), 1, "send", "x", 1))
     assert count_words(trace, Fraction(50), Fraction(100)) == 0
 
 
 def test_index_follows_events_appended_after_it_was_built():
-    trace = Trace(4, 1, Fraction(50), Fraction(1), frozenset())
+    trace = Trace()
     trace.append(TraceEvent(Fraction(60), 1, "send", "x", 1))
     assert count_words(trace, Fraction(50), None) == 1
     trace.append(TraceEvent(Fraction(70), 2, "send", "x", 2))
@@ -80,7 +84,7 @@ _edge_index = st.integers(0, len(_edges) - 1)
 def test_window_words_equal_a_per_event_sum(sends, lo_at, hi_at):
     lo = _edges[lo_at]
     hi = None if hi_at is None else _edges[hi_at]
-    trace = Trace(4, 1, lo, Fraction(1), frozenset())
+    trace = Trace()
     for at, shared, words, kind, sync in sends:
         t = _edges[at] if shared else Fraction(_edges[at].numerator,
                                                _edges[at].denominator)
@@ -102,7 +106,7 @@ def test_window_words_equal_a_per_event_sum(sends, lo_at, hi_at):
 def test_find_sync_time_interval_intersection():
     cfg = happy(4, 0)
     cfg.gst = Fraction(0)
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     # all enter view 9 (leader P_2 correct... 9 mod 4 = 1 -> P_2) at
     # 100/101/101.5 and leave at 112+
     for pid, t in ((1, 100), (2, 101), (3, Fraction(203, 2)), (4, 100)):
@@ -116,7 +120,7 @@ def test_find_sync_time_interval_intersection():
 def test_find_sync_time_short_overlap_rejected():
     cfg = happy(4, 0)
     cfg.gst = Fraction(0)
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     for pid in (1, 2, 3, 4):
         advance(trace, 100, pid, 9)
         advance(trace, 104, pid, 10)   # view 9 overlap is 4 < 8
@@ -128,7 +132,7 @@ def test_find_sync_time_skips_byzantine_leader():
     cfg = happy(4, 0)
     cfg.gst = Fraction(0)
     cfg.byzantine = frozenset({2})    # leader of view 9
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset({2}))
+    trace = Trace()
     for pid in (1, 3, 4):
         advance(trace, 100, pid, 9)
     assert find_sync_time(trace, cfg) is None
@@ -140,6 +144,64 @@ def test_sync_reference_shifts_with_late_starts():
     # certification delays consensus starts past GST by up to 2*delta
     t0 = sync_reference_time(res.trace, cfg)
     assert cfg.gst < t0 <= cfg.gst + 2 * cfg.delta
+
+
+# -- run facts ----------------------------------------------------------------
+
+def _append_advance(trace, cfg):
+    # P1 leaves the synchronized view long before the overlap is over
+    advance(trace, find_sync_time(trace, cfg) + 1, 1,
+            trace.index.advances[1][-1][1] + 1)
+
+
+def _raise_gst(trace, cfg):
+    cfg.gst += 40
+
+
+def _clear_byzantine(trace, cfg):
+    cfg.byzantine = frozenset()
+
+
+@pytest.mark.parametrize("mutate", [_append_advance, _raise_gst, _clear_byzantine])
+def test_run_facts_follow_new_events_and_config_values(wc_run, mutate):
+    trace, cfg = wc_run.trace, wc_run.config
+
+    def facts(t):
+        return find_sync_time(t, cfg), stable_epochs(t, cfg)[1]
+
+    before = facts(trace)   # the report already derived these
+    mutate(trace, cfg)
+    assert facts(trace) == facts(Trace(events=list(trace.events))) != before
+
+
+def test_report_derives_each_run_fact_once(monkeypatch):
+    # the constructor derives the correct pids and their advances
+    props = {name: prop for name, prop in vars(RunFacts).items()
+             if isinstance(prop, cached_property)}
+    assert set(props) == {"entries", "views", "sync_reference", "stable_epochs",
+                          "t_s", "t_d", "window_entries"}
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name, prop in props.items():
+        monkeypatch.setattr(prop, "func", counting(name, prop.func))
+    monkeypatch.setattr(RunFacts, "__init__", counting("__init__", RunFacts.__init__))
+    cfg = worst_case(7, 0, "squad")
+    sim = build_simulation(cfg)
+    build_report(sim.run(horizon=cfg.horizon), cfg, sim.crypto)
+    assert calls == {name: 1 for name in [*props, "__init__"]}
+
+
+def test_crypto_is_a_required_argument(happy_run):
+    trace, cfg = happy_run.trace, happy_run.config
+    for fn in (check_invariants, build_report, *ALL_CHECKS.values()):
+        with pytest.raises(TypeError):
+            fn(trace, cfg)
 
 
 # -- clean runs pass ----------------------------------------------------------
@@ -172,7 +234,7 @@ def _broadcast(trace, time, sender, payload, n=4):
 
 def test_shared_illegal_delay_is_reported_per_delivery():
     cfg = SimpleNamespace(gst=Fraction(50), delta=Fraction(1))
-    trace = Trace(4, 1, cfg.gst, cfg.delta, frozenset())
+    trace = Trace()
     sent, late, ok = Fraction(60), Fraction(62), Fraction(61)
     early_sent, early = Fraction(10), Fraction(9)
     plan = [(sent, late)] * 5 + [(sent, ok)] * 3 + [(early_sent, early)] * 2
@@ -181,7 +243,7 @@ def test_shared_illegal_delay_is_reported_per_delivery():
                                 receiver=2, seq=seq))
         trace.append(TraceEvent(t_deliver, 2, "deliver", "m", 0, sender=1,
                                 receiver=2, seq=seq))
-    out = check_delay_bounds(trace, cfg)
+    out = check_delay_bounds(trace, cfg, None)
     late_lines = [v for v in out if "sent 60 delivered 62" in v]
     assert {v.split("#")[1].split()[0] for v in late_lines} == {"1", "2", "3", "4", "5"}
     assert sorted(v for v in out if "before sent" in v) == [
@@ -195,7 +257,7 @@ def test_shared_illegal_delay_is_reported_per_delivery():
 def test_delay_verdict_agrees_with_fraction_operators(case):
     gst, delta, sent, delivered = case
     cfg = SimpleNamespace(gst=gst, delta=delta)
-    trace = Trace(4, 1, gst, delta, frozenset())
+    trace = Trace()
     trace.append(TraceEvent(sent, 1, "send", "m", 1, sender=1, receiver=2, seq=1))
     trace.append(TraceEvent(delivered, 2, "deliver", "m", 0, sender=1,
                             receiver=2, seq=1))
@@ -206,14 +268,14 @@ def test_delay_verdict_agrees_with_fraction_operators(case):
         expected = ["delay_bounds: envelope #1 delivered before sent"]
     else:
         expected = []
-    assert check_delay_bounds(trace, cfg) == expected
+    assert check_delay_bounds(trace, cfg, None) == expected
 
 
 def test_forged_broadcast_is_reported_per_copy():
     crypto = CryptoSystem(4, 1)
-    cfg = SimpleNamespace(f=1)
+    cfg = happy(4, 0)
     forged = ThresholdSignature("(epoch,3)", frozenset({1, 2, 3}), "quorum")
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     _broadcast(trace, 7, 1, EnterEpochMsg(3, forged))
     # an equal but distinct payload is checked on its own and reported too
     _broadcast(trace, 8, 2, EnterEpochMsg(3, forged), n=1)
@@ -231,15 +293,15 @@ def test_unforgeable_threshold_is_the_scheme_k(scheme, honest, reported):
     for p in range(1, honest + 1):
         crypto.share_sign(p, epoch_message(3), scheme)
     tsig = ThresholdSignature(epoch_message(3), frozenset({1, 2, 3}), scheme)
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     _broadcast(trace, 7, 4, EnterEpochMsg(4, tsig), n=1)
-    out = check_unforgeable_sigs(trace, SimpleNamespace(f=1), crypto)
+    out = check_unforgeable_sigs(trace, happy(4, 0), crypto)
     assert bool(out) is reported
 
 
 def test_qc_verdicts_are_kept_per_qc():
     crypto = CryptoSystem(4, 1)
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     # a forged QC first, then two genuine ones with different values: the
     # forged one's verdict must not stand in for the others
     forged = QuorumCertificate(PHASE_PREPARE, "x", 5, ThresholdSignature(
@@ -256,10 +318,11 @@ def test_qc_verdicts_are_kept_per_qc():
 
 def test_verifying_certificate_is_reported_per_copy():
     crypto = CryptoSystem(4, 1)
-    cfg = SimpleNamespace(protocol="squad", proposals={p: 5 for p in range(1, 5)})
+    cfg = happy(4, 0, "squad")
+    cfg.proposals = {p: 5 for p in range(1, 5)}
     tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
                            for p in (1, 2)])
-    trace = Trace(4, 1, Fraction(0), Fraction(1), frozenset())
+    trace = Trace()
     _broadcast(trace, 1, 3, CertificateMsg(8, Certificate(8, tsig)))
     out = check_cert_computability(trace, cfg, crypto)
     assert out == ["cert_computability: certificate for 8 appeared despite "
