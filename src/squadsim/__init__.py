@@ -5,9 +5,9 @@ from .adversary import (ScenarioConfig, equivocate, happy, randomized,
                         scenario_s, worst_case)
 from .crypto import (CryptoSystem, MixedDigests, PartialSignature,
                      SchemeConfig, ThresholdSignature, ThresholdTooSmall)
-from .engine import LivelockError, Simulation
+from .engine import Simulation
 from .metrics import (MetricsReport, build_report, check_invariants,
-                      count_words, find_sync_time)
+                      count_words, facts_of)
 from .runner import RunResult, build_simulation, run_scenario
 from .timebase import ClockModel, SimTime
 from .trace import Trace, TraceEvent
@@ -16,8 +16,8 @@ __all__ = [
     "ScenarioConfig", "happy", "worst_case", "scenario_s", "equivocate",
     "randomized", "CryptoSystem", "SchemeConfig", "PartialSignature",
     "ThresholdSignature", "ThresholdTooSmall", "MixedDigests",
-    "Simulation", "LivelockError", "MetricsReport", "build_report",
-    "check_invariants", "count_words", "find_sync_time", "RunResult",
+    "Simulation", "MetricsReport", "build_report", "check_invariants",
+    "count_words", "facts_of", "RunResult",
     "build_simulation", "run_scenario", "ClockModel", "SimTime",
     "Trace", "TraceEvent",
 ]

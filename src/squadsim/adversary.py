@@ -161,9 +161,7 @@ class EquivocatingCore(ViewCore):
 class SpamEnterEpochNode:
     """Floods forged ENTER-EPOCH messages; correct processes drop them all."""
 
-    def __init__(self, pid: int, n: int, f: int, delta: Fraction):
-        self.pid = pid
-        self.n = n
+    def __init__(self, f: int, delta: Fraction):
         self.f = f
         self.delta = Fraction(delta)
         self.tick = 0
@@ -186,20 +184,20 @@ class SpamEnterEpochNode:
 class CertAttackNode:
     """Tries every illegal certification move available to the adversary."""
 
-    def __init__(self, pid: int, n: int, f: int, evil_value=-99):
+    EVIL = -99   # the value it tries to get certified
+
+    def __init__(self, pid: int, f: int):
         self.pid = pid
-        self.n = n
         self.f = f
-        self.evil = evil_value
 
     def on_start(self, ctx) -> None:
-        psig = ctx.crypto.share_sign(self.pid, value_message(self.evil), "cert")
-        ctx.broadcast(DiscloseMsg(self.evil, psig))
+        psig = ctx.crypto.share_sign(self.pid, value_message(self.EVIL), "cert")
+        ctx.broadcast(DiscloseMsg(self.EVIL, psig))
         any_psig = ctx.crypto.share_sign(self.pid, ANY_VALUE_TAG, "cert")
         ctx.broadcast(AllowAnyMsg(any_psig))
-        forged = ThresholdSignature(value_message(self.evil),
+        forged = ThresholdSignature(value_message(self.EVIL),
                                     frozenset(range(1, self.f + 2)), "cert")
-        ctx.broadcast(CertificateMsg(self.evil, Certificate(self.evil, forged)))
+        ctx.broadcast(CertificateMsg(self.EVIL, Certificate(self.EVIL, forged)))
 
     def on_deliver(self, ctx, sender: int, payload) -> None: ...
     def on_timer(self, ctx, kind: str) -> None: ...

@@ -13,9 +13,10 @@ recounted over the stored wishes only when the view advances, so a
 message costs O(1) and a view O(n) instead of O(n) and O(n^2).
 
 The doubling synchronizer never communicates: each view simply lasts
-twice as long as the previous one, starting from beta. Laggards are only
-ever caught because view durations eventually dwarf any fixed skew, which
-is why its synchronization latency is unbounded in the skew.
+twice as long as the previous one, starting from ``BETA`` = 1. Laggards
+are only ever caught because view durations eventually dwarf any fixed
+skew, which is why its synchronization latency is unbounded in the skew.
+Both report a view entry only through ``advance``; the node logs it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ class WishMsg:
 
 
 class AllToAllSync:
-    def __init__(self, pid: int, n: int, f: int, view_duration: Fraction,
+    def __init__(self, f: int, view_duration: Fraction,
                  advance: Callable[[object, int], None]):
-        self.pid = pid
-        self.n = n
         self.f = f
         self.view_duration = Fraction(view_duration)
         self._advance = advance
@@ -47,7 +46,6 @@ class AllToAllSync:
 
     def start(self, ctx) -> None:
         ctx.measure("baseline_timer", self.view_duration)
-        ctx.log_advance(self.view)
         self._advance(ctx, self.view)
 
     def on_timer(self, ctx) -> None:
@@ -69,29 +67,25 @@ class AllToAllSync:
             self.view += 1
             self._support = sum(1 for w in self._wishes.values() if w > self.view)
             ctx.measure("baseline_timer", self.view_duration)
-            ctx.log_advance(self.view)
             self._advance(ctx, self.view)
 
 
 class DoublingSync:
-    def __init__(self, pid: int, beta: Fraction,
-                 advance: Callable[[object, int], None]):
-        self.pid = pid
-        self.beta = Fraction(beta)
+    BETA = Fraction(1)   # the first view's duration
+
+    def __init__(self, advance: Callable[[object, int], None]):
         self._advance = advance
         self.view = 1
-        self.current_duration = self.beta
+        self.current_duration = self.BETA
 
     def start(self, ctx) -> None:
         ctx.measure("baseline_timer", self.current_duration)
-        ctx.log_advance(self.view)
         self._advance(ctx, self.view)
 
     def on_timer(self, ctx) -> None:
         self.current_duration *= 2
         self.view += 1
         ctx.measure("baseline_timer", self.current_duration)
-        ctx.log_advance(self.view)
         self._advance(ctx, self.view)
 
     def on_message(self, ctx, sender: int, msg) -> bool:

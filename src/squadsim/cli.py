@@ -6,8 +6,8 @@ or fails to decide. Flags override a flat key=value config file; the
 SQUADSIM_OUT environment variable supplies the default output directory.
 
 Exit codes: 0 all runs decided with zero violations; 1 a run failed to
-decide, raised an adversary or livelock error, or violated an invariant;
-2 configuration error.
+decide by its horizon, raised an adversary error, or violated an
+invariant; 2 configuration error.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .adversary import BUILDERS, SCENARIO_KEYS, custom_file
-from .engine import AdversaryViolation, LivelockError
+from .engine import AdversaryViolation
 from .metrics import CSV_HEADER
 from .runner import PROTOCOLS, run_scenario
 
-SCENARIOS = ("happy", "worst_case", "scenario_s", "equivocate", "random",
-             "custom-file")
+SCENARIOS = (*BUILDERS, "custom-file")
 
 
 class ConfigError(Exception):
@@ -178,7 +177,7 @@ def main(argv=None) -> int:
                 return 2
             try:
                 result = run_scenario(cfg)
-            except (AdversaryViolation, LivelockError) as exc:
+            except AdversaryViolation as exc:
                 failures += 1
                 print(f"[FAIL] {cfg.protocol} n={n} seed={seed} "
                       f"scenario={cfg.name} error={type(exc).__name__}: {exc}")

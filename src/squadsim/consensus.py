@@ -84,10 +84,9 @@ class CertificateMsg:
 class CertPhase:
     """Certification phase for one process; exits with (value-or-None, cert)."""
 
-    def __init__(self, pid: int, n: int, f: int, proposal,
+    def __init__(self, pid: int, f: int, proposal,
                  on_exit: Callable[[object, object, Certificate], None]):
         self.pid = pid
-        self.n = n
         self.f = f
         self.proposal = proposal
         self.on_exit = on_exit
@@ -155,18 +154,16 @@ class CertPhase:
 
 
 class ProtocolNode:
-    """One correct process: optional certification, synchronizer, view core."""
+    """One correct process: optional certification, synchronizer, view core.
+
+    ``_on_advance`` logs each view entry. One hold buffer keeps, in arrival
+    order, deliveries before start, then consensus messages before cert exit."""
 
     def __init__(self, pid: int, n: int, f: int, crypto: CryptoSystem,
                  proposal, synchronizer: str, delta: Fraction,
                  view_duration: Fraction, certified: bool = False,
                  core_factory=None):
-        self.pid = pid
-        self.n = n
-        self.f = f
         self.proposal = proposal
-        self.certified = certified
-
         validator = ((lambda value, cert: verify_certificate(crypto, value, cert))
                      if certified else None)
         core_factory = core_factory or ViewCore
@@ -174,52 +171,48 @@ class ProtocolNode:
                                  on_decide=lambda ctx, v: ctx.decide(v),
                                  cert_validator=validator)
         if synchronizer == "raresync":
-            self.sync = RareSync(pid, n, f, delta, view_duration,
+            self.sync = RareSync(pid, f, delta, view_duration,
                                  advance=self._on_advance)
         elif synchronizer == "alltoall":
-            self.sync = AllToAllSync(pid, n, f, view_duration,
-                                     advance=self._on_advance)
+            self.sync = AllToAllSync(f, view_duration, advance=self._on_advance)
         elif synchronizer == "doubling":
-            self.sync = DoublingSync(pid, Fraction(1), advance=self._on_advance)
+            self.sync = DoublingSync(advance=self._on_advance)
         else:
             raise ValueError(f"unknown synchronizer {synchronizer!r}")
-        self.cert_phase = (CertPhase(pid, n, f, proposal, self._on_certified)
+        self.cert_phase = (CertPhase(pid, f, proposal, self._start_consensus)
                            if certified else None)
         self._started = False
-        self._inbox: list = []       # deliveries before this process started
         self._running = False
-        self._pre_start: list = []   # consensus messages before cert exit
+        self._held: list = []   # (sender, payload) not yet handled
 
     def _on_advance(self, ctx, view: int) -> None:
+        ctx.log_advance(view)
         self.core.start_executing(ctx, view)
 
-    def _on_certified(self, ctx, value, cert: Certificate) -> None:
-        proposal = self.proposal if value is None else value
-        self._start_consensus(ctx, proposal, cert)
-
-    def _start_consensus(self, ctx, proposal, cert) -> None:
-        self.core.init(proposal, cert)
+    def _start_consensus(self, ctx, value, cert) -> None:
+        self.core.init(self.proposal if value is None else value, cert)
         self._running = True
         self.sync.start(ctx)
-        for sender, payload in self._pre_start:
-            self._route(ctx, sender, payload)
-        self._pre_start.clear()
+        self._release(ctx, self._route)   # held ones passed any cert phase
+
+    def _release(self, ctx, handle) -> None:
+        held, self._held = self._held, []
+        for sender, payload in held:
+            handle(ctx, sender, payload)
 
     # -- engine hooks --------------------------------------------------------
 
     def on_start(self, ctx) -> None:
         self._started = True
-        if self.cert_phase is not None:
-            self.cert_phase.start(ctx)
+        if self.cert_phase is None:
+            self._start_consensus(ctx, None, None)
         else:
-            self._start_consensus(ctx, self.proposal, None)
-        inbox, self._inbox = self._inbox, []
-        for sender, payload in inbox:
-            self._deliver(ctx, sender, payload)
+            self.cert_phase.start(ctx)
+            self._release(ctx, self._deliver)
 
     def on_deliver(self, ctx, sender: int, payload) -> None:
         if not self._started:
-            self._inbox.append((sender, payload))
+            self._held.append((sender, payload))
             return
         self._deliver(ctx, sender, payload)
 
@@ -227,7 +220,7 @@ class ProtocolNode:
         if self.cert_phase is not None and self.cert_phase.on_message(ctx, sender, payload):
             return
         if not self._running:
-            self._pre_start.append((sender, payload))
+            self._held.append((sender, payload))
             return
         self._route(ctx, sender, payload)
 

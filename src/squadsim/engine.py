@@ -2,7 +2,9 @@
 
 One Simulation instance runs n processes over an authenticated reliable
 point-to-point network with adversary-controlled delays and a GST
-boundary. Everything is single-threaded and exact:
+boundary, until every correct process has decided or the horizon is
+reached (``trace.horizon_hit``, also when the queue drains first).
+Everything is single-threaded and exact:
 
 - the event queue pops in nondecreasing global time, ties broken by a
   fixed total order (time, event-class rank with delivery < timer-expiry,
@@ -52,7 +54,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from .timebase import ClockModel, SimTime
 from .crypto import CryptoSystem
@@ -62,14 +64,6 @@ RANK_DELIVERY = 0
 RANK_TIMER = 1
 
 TIMER_KINDS = ("view_timer", "dissemination_timer", "baseline_timer")
-
-
-class LivelockError(Exception):
-    """Event queue drained before the stop predicate held."""
-
-    def __init__(self, trace: Trace):
-        super().__init__("event queue empty before stop predicate held")
-        self.trace = trace
 
 
 class AdversaryViolation(Exception):
@@ -106,14 +100,6 @@ class ProcessContext:
     @property
     def crypto(self) -> CryptoSystem:
         return self._sim.crypto
-
-    @property
-    def n(self) -> int:
-        return self._sim.n
-
-    @property
-    def f(self) -> int:
-        return self._sim.f
 
     def send(self, receiver: int, payload, words: int = 1) -> None:
         if not (1 <= receiver <= self._sim.n):
@@ -158,7 +144,6 @@ class Simulation:
         if len(byzantine) > f:
             raise ValueError("too many Byzantine processes")
         self.n = n
-        self.f = f
         self.gst = Fraction(gst)
         self.delta = Fraction(delta)
         self.byzantine = frozenset(byzantine)
@@ -294,13 +279,11 @@ class Simulation:
     def all_correct_decided(self) -> bool:
         return self._undecided == 0
 
-    def run(self, stop: Optional[Callable[["Simulation"], bool]] = None,
-            horizon: Optional[SimTime] = None) -> Trace:
-        if stop is None:
-            stop = Simulation.all_correct_decided
-        horizon_t = None if horizon is None else Fraction(horizon)
-        if horizon_t is not None:
-            hn, hd = horizon_t.numerator, horizon_t.denominator
+    def run(self, horizon: SimTime) -> Trace:
+        # looked up on the class, so a wrapper installed there sees each check
+        stop = Simulation.all_correct_decided
+        horizon_t = Fraction(horizon)
+        hn, hd = horizon_t.numerator, horizon_t.denominator
         times, buckets = self._times, self._buckets
         nodes, contexts, timers = self.nodes, self.contexts, self.timers
         append = self.trace.events.append
@@ -308,17 +291,15 @@ class Simulation:
             if stop(self):
                 return self.trace
             if not times:
-                if horizon_t is None:
-                    raise LivelockError(self.trace)
                 # nothing left to happen; time passes quietly to the horizon
                 self.now = max(self.now, horizon_t)
-                self.trace.horizon_hit = not stop(self)
+                self.trace.horizon_hit = True
                 return self.trace
             # horizon and monotonicity hold for a whole bucket, since all
             # its entries share one time; both are integer cross-products
             time = times[0][1]
             key = tn, td = time.numerator, time.denominator
-            if horizon_t is not None and tn * hd > hn * td:
+            if tn * hd > hn * td:
                 self.trace.horizon_hit = True
                 return self.trace
             now = self.now

@@ -225,22 +225,6 @@ def facts_of(trace: Trace, cfg) -> RunFacts:
 # Extraction helpers
 # --------------------------------------------------------------------------
 
-def decision_time(trace: Trace, cfg) -> Optional[Fraction]:
-    return facts_of(trace, cfg).t_d
-
-
-def sync_reference_time(trace: Trace, cfg) -> Fraction:
-    return facts_of(trace, cfg).sync_reference
-
-
-def stable_epochs(trace: Trace, cfg) -> tuple[int, Optional[int], Optional[Fraction]]:
-    return facts_of(trace, cfg).stable_epochs
-
-
-def find_sync_time(trace: Trace, cfg) -> Optional[Fraction]:
-    return facts_of(trace, cfg).t_s
-
-
 def _window_words(trace: Trace, lo: Fraction, hi: Optional[Fraction],
                   types: Optional[tuple] = None) -> int:
     """Words of correct sends in [lo, hi] (hi None: unbounded), optionally
@@ -340,7 +324,7 @@ def check_epoch_entry_quorum(trace, cfg, crypto):
 
 def check_quiet_period(trace, cfg, crypto):
     out = []
-    _, e_final, t_ef = stable_epochs(trace, cfg)
+    _, e_final, t_ef = facts_of(trace, cfg).stable_epochs
     if e_final is None:
         return out
     bound = t_ef + cfg.epoch_duration
@@ -354,11 +338,12 @@ def check_quiet_period(trace, cfg, crypto):
 
 def check_tight_entry(trace, cfg, crypto):
     out = []
-    _, e_final, t_ef = stable_epochs(trace, cfg)
+    facts = facts_of(trace, cfg)
+    _, e_final, t_ef = facts.stable_epochs
     if e_final is None:
         return out
     end_time = index_of(trace).end_time
-    for pid, entries in facts_of(trace, cfg).entries.items():
+    for pid, entries in facts.entries.items():
         mine = [t for t, e in entries if e == e_final]
         if not mine:
             if end_time > t_ef + 2 * cfg.delta:
@@ -373,10 +358,11 @@ def check_tight_entry(trace, cfg, crypto):
 
 def check_view_overlap(trace, cfg, crypto):
     out = []
-    _, e_final, _ = stable_epochs(trace, cfg)
+    facts = facts_of(trace, cfg)
+    _, e_final, _ = facts.stable_epochs
     if e_final is None:
         return out
-    views = facts_of(trace, cfg).views
+    views = facts.views
     lo = (e_final - 1) * (cfg.f + 1) + 1
     for v in range(lo, lo + cfg.f + 1):
         start, end = views.get(v, (None, None))
@@ -388,9 +374,9 @@ def check_view_overlap(trace, cfg, crypto):
 
 def check_entry_bound(trace, cfg, crypto):
     out = []
-    t0 = sync_reference_time(trace, cfg)
-    _, e_final, t_ef = stable_epochs(trace, cfg)
-    bound = t0 + cfg.epoch_duration + 4 * cfg.delta
+    facts = facts_of(trace, cfg)
+    _, e_final, t_ef = facts.stable_epochs
+    bound = facts.sync_reference + cfg.epoch_duration + 4 * cfg.delta
     if e_final is None:
         if index_of(trace).end_time > bound:
             out.append(f"entry_bound: no post-stabilization epoch entered though "
@@ -403,13 +389,13 @@ def check_entry_bound(trace, cfg, crypto):
 
 def check_epoch_budget(trace, cfg, crypto):
     out = []
-    t_s = find_sync_time(trace, cfg)
-    if t_s is None:
+    facts = facts_of(trace, cfg)
+    if facts.t_s is None:
         return out
-    for pid, cnt in facts_of(trace, cfg).window_entries.items():
+    for pid, cnt in facts.window_entries.items():
         if cnt > 4:
             out.append(f"epoch_budget: P{pid} entered {cnt} epochs in "
-                       f"[{cfg.gst}, {t_s + cfg.overlap}]")
+                       f"[{cfg.gst}, {facts.t_s + cfg.overlap}]")
     return out
 
 
@@ -424,7 +410,7 @@ def check_entry_spacing(trace, cfg, crypto):
 
 
 def check_epoch_succession(trace, cfg, crypto):
-    e_max, e_final, _ = stable_epochs(trace, cfg)
+    e_max, e_final, _ = facts_of(trace, cfg).stable_epochs
     if e_final is not None and e_final != e_max + 1:
         return [f"epoch_succession: e_final={e_final} but e_max={e_max}"]
     return []
@@ -573,20 +559,25 @@ def check_delay_bounds(trace, cfg, crypto):
     return out
 
 
-def _verified_cert(payload, crypto):
+def _verified_cert(payload, crypto, memo: dict):
     """(value, cert) if the payload carries a certificate that verifies,
-    value None for an any-value one; None otherwise."""
+    value None for an any-value one; None otherwise. A certificate rides in
+    many payloads, so ``memo`` keeps the verdict per (id(cert), value)."""
     if isinstance(payload, CertificateMsg):
         value, cert = payload.value, payload.cert
     elif isinstance(payload, CoreMessage) and isinstance(payload.cert, Certificate):
         value, cert = payload.cert.subject, payload.cert
     else:
         return None
-    if crypto.combined_verify(ANY_VALUE_TAG, cert.tsig):
-        return None, cert
-    if value is not None and crypto.combined_verify(value_message(value), cert.tsig):
-        return value, cert
-    return None
+    key = (id(cert), value)
+    if key not in memo:
+        if crypto.combined_verify(ANY_VALUE_TAG, cert.tsig):
+            memo[key] = None, cert
+        elif value is not None and crypto.combined_verify(value_message(value), cert.tsig):
+            memo[key] = value, cert
+        else:
+            memo[key] = None
+    return memo[key]
 
 
 def check_cert_computability(trace, cfg, crypto):
@@ -595,12 +586,13 @@ def check_cert_computability(trace, cfg, crypto):
         return []
     v = proposals.pop()
     out = []
-    # each distinct payload is verified once, keyed by id (the trace keeps it)
-    verdicts: dict[int, Optional[tuple]] = {}
+    # keyed by id(payload), and by (id(cert), value) in _verified_cert, so
+    # each certificate is verified once; the trace keeps both alive
+    verdicts: dict = {}
     for ev in index_of(trace).emitted:
         key = id(ev.payload)
         if key not in verdicts:
-            verdicts[key] = _verified_cert(ev.payload, crypto)
+            verdicts[key] = _verified_cert(ev.payload, crypto, verdicts)
         if verdicts[key] is None:
             continue
         value, cert = verdicts[key]

@@ -57,14 +57,13 @@ class RareSync:
     """Synchronizer state machine for one process.
 
     ``advance`` is called synchronously, within the event being handled,
-    whenever the process enters a view; the composed consumer (the view
-    core) reacts inside the same simulated instant.
+    whenever the process enters a view; the composing node logs the entry
+    and the view core reacts inside the same simulated instant.
     """
 
-    def __init__(self, pid: int, n: int, f: int, delta: Fraction,
+    def __init__(self, pid: int, f: int, delta: Fraction,
                  view_duration: Fraction, advance: Callable[[object, int], None]):
         self.pid = pid
-        self.n = n
         self.f = f
         self.delta = Fraction(delta)
         self.view_duration = Fraction(view_duration)
@@ -83,11 +82,9 @@ class RareSync:
         return (self.epoch - 1) * (self.f + 1) + self.view
 
     def _enter_current_view(self, ctx, first_of_epoch: bool) -> None:
-        v = self.global_view()
         if first_of_epoch:
             ctx.log_enter_epoch(self.epoch)
-        ctx.log_advance(v)
-        self._advance(ctx, v)
+        self._advance(ctx, self.global_view())
 
     # -- protocol rules ----------------------------------------------------
 

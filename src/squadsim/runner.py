@@ -38,9 +38,9 @@ def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
     if cfg.strategy == "silent":
         return SilentNode()
     if cfg.strategy == "spam_enter_epoch":
-        return SpamEnterEpochNode(pid, cfg.n, cfg.f, cfg.delta)
+        return SpamEnterEpochNode(cfg.f, cfg.delta)
     if cfg.strategy == "cert_attack":
-        return CertAttackNode(pid, cfg.n, cfg.f)
+        return CertAttackNode(pid, cfg.f)
     if cfg.strategy == "equivocate":
         return _protocol_node(cfg, sim, pid, core_factory=EquivocatingCore)
     raise ValueError(f"unknown strategy {cfg.strategy!r}")
@@ -62,6 +62,6 @@ def build_simulation(cfg: ScenarioConfig) -> Simulation:
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     sim = build_simulation(cfg)
-    trace = sim.run(horizon=cfg.horizon)
+    trace = sim.run(cfg.horizon)
     report = build_report(trace, cfg, sim.crypto)
     return RunResult(cfg, trace, report, sim)

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-KINDS = ("send", "deliver", "timer", "advance", "enter_epoch", "decide", "byz")
-
 
 def _summary(payload) -> str:
     fn = getattr(payload, "summary", None)

@@ -104,7 +104,6 @@ class ViewCore:
                  cert_validator: Optional[Callable[[object, object], bool]] = None):
         self.pid = pid
         self.n = n
-        self.f = f
         self.crypto = crypto
         self.quorum = 2 * f + 1
         self.on_decide = on_decide

@@ -10,7 +10,7 @@ from fractions import Fraction
 from squadsim.consensus import Certificate, CertificateMsg, DiscloseMsg, \
     value_message
 from squadsim.crypto import ThresholdSignature
-from squadsim.metrics import stable_epochs
+from squadsim.metrics import facts_of
 from squadsim.raresync import EpochCompletedMsg, epoch_message
 from squadsim.trace import Trace, TraceEvent
 from squadsim.viewcore import CoreMessage, PHASE_PREPARE, PRECOMMIT, \
@@ -50,7 +50,7 @@ def plant_epoch_entry_quorum(cfg, crypto, base):
 
 
 def plant_quiet_period(cfg, crypto, base):
-    _, e_final, t_ef = stable_epochs(base, cfg)
+    _, e_final, t_ef = facts_of(base, cfg).stable_epochs
     t = Trace(events=list(base.events))
     psig = crypto.share_sign(1, epoch_message(e_final), "quorum")
     t.append(TraceEvent(t_ef + cfg.epoch_duration / 2, 1, "send", "EC", 1,
@@ -60,7 +60,7 @@ def plant_quiet_period(cfg, crypto, base):
 
 def plant_tight_entry(cfg, crypto, base):
     from squadsim.metrics import epoch_of
-    _, e_final, _ = stable_epochs(base, cfg)
+    _, e_final, _ = facts_of(base, cfg).stable_epochs
     events = [ev for ev in base.events
               if not (ev.kind == "advance" and ev.process == 1
                       and epoch_of(ev.payload, cfg.f) == e_final)]

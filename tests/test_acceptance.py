@@ -17,8 +17,7 @@ from squadsim import (equivocate, happy, randomized, run_scenario, scenario_s,
 from squadsim.consensus import AllowAnyMsg, CertificateMsg, DiscloseMsg
 from squadsim.engine import MaxDelayPolicy
 from squadsim.metrics import (ALL_CHECKS, check_agreement,
-                              check_conflicting_qcs, facts_of, fit_slope,
-                              stable_epochs)
+                              check_conflicting_qcs, facts_of, fit_slope)
 from squadsim.raresync import EpochCompletedMsg
 from tests.planted import PLANTED
 
@@ -235,7 +234,7 @@ def test_criterion_8_scenario_s():
             assert cfg.byzantine == frozenset()
             res = run_scenario(cfg)
             assert res.report.decided and not res.report.violations
-            _, e_final, t_ef = stable_epochs(res.trace, cfg)
+            _, e_final, t_ef = facts_of(res.trace, cfg).stable_epochs
             e_max = e_final - 1
             assert e_max >= 1
             t_s = res.report.t_s

@@ -13,10 +13,9 @@ EPS = Fraction(1, 100)
 VIEW = OVERLAP + 2 * DELTA + EPS
 
 
-def make_a2a(crypto, pid=1):
+def make_a2a(crypto):
     log = []
-    sync = AllToAllSync(pid, crypto.n, crypto.f, VIEW,
-                        advance=lambda ctx, v: log.append(v))
+    sync = AllToAllSync(crypto.f, VIEW, advance=lambda ctx, v: log.append(v))
     return sync, log
 
 
@@ -98,7 +97,7 @@ def test_running_support_matches_a_full_recount(wishes):
 
 def test_doubling_durations():
     log = []
-    sync = DoublingSync(1, Fraction(1), advance=lambda ctx, v: log.append(v))
+    sync = DoublingSync(advance=lambda ctx, v: log.append(v))
     ctx = FakeContext(CryptoSystem(4, 1))
     sync.start(ctx)
     for _ in range(4):
@@ -123,9 +122,9 @@ def test_doubling_laggard_latency_is_geometric():
     """A process stuck far behind synchronizes no sooner than the closed
     form: if the most advanced process sits in view v, co-residence cannot
     begin before the laggard has burned beta * (2^(v-1) - 1) of local time."""
-    beta = Fraction(1)
+    beta = DoublingSync.BETA
     log = []
-    sync = DoublingSync(1, beta, advance=lambda ctx, v: log.append(v))
+    sync = DoublingSync(advance=lambda ctx, v: log.append(v))
     ctx = FakeContext(CryptoSystem(4, 1))
     sync.start(ctx)
     total = Fraction(0)

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 
 from squadsim import cli
 from squadsim.cli import main, parse_seed_range
-from squadsim.engine import AdversaryViolation, LivelockError
+from squadsim.engine import AdversaryViolation
 from squadsim.metrics import CSV_HEADER
-from squadsim.trace import Trace
 
 
 def run_cli(tmp_path, *args, env_out=None):
@@ -266,8 +265,7 @@ def test_any_input_ends_in_a_documented_exit(inputs):
 
 @pytest.mark.parametrize("error", [
     AdversaryViolation("post-GST delay 2 outside (0, delta]"),
-    LivelockError(Trace()),
-], ids=["adversary", "livelock"])
+], ids=["adversary"])
 def test_runtime_error_is_a_reported_failure(tmp_path, monkeypatch, capsys, error):
     real_run = cli.run_scenario
 

@@ -11,7 +11,7 @@ from tests.conftest import FakeContext
 
 def make_phase(crypto, pid=1, proposal=7):
     exits = []
-    phase = CertPhase(pid, crypto.n, crypto.f, proposal,
+    phase = CertPhase(pid, crypto.f, proposal,
                       on_exit=lambda ctx, v, c: exits.append((v, c)))
     return phase, exits
 

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from squadsim.adversary import ScheduledReleasePolicy
-from squadsim.engine import (AdversaryViolation, LivelockError, MaxDelayPolicy,
-                             Simulation)
+from squadsim.engine import AdversaryViolation, MaxDelayPolicy, Simulation
 from squadsim.timebase import ClockModel
 from squadsim.trace import TraceEvent
 from tests.exact_times import exact_cases
@@ -54,7 +53,8 @@ def make_sim(policy=None, gst=Fraction(10), clocks=None, byz=frozenset()):
 
 
 def drain(sim, horizon=Fraction(1000)):
-    return sim.run(stop=lambda s: False, horizon=horizon)
+    # no Recorder decides, so only the horizon ends the run
+    return sim.run(horizon)
 
 
 def queued_deliveries(sim):
@@ -437,10 +437,11 @@ def test_byzantine_sends_logged_as_byz():
     assert (4, "byz") in kinds and (1, "send") in kinds
 
 
-def test_livelock_reported_when_queue_drains():
-    sim, _ = make_sim()
-    with pytest.raises(LivelockError):
-        sim.run(stop=lambda s: False, horizon=None)
+def test_drained_queue_ends_at_the_horizon():
+    sim, nodes = make_sim()
+    trace = sim.run(Fraction(100))   # only the four start events are queued
+    assert sim.now == Fraction(100) and trace.horizon_hit
+    assert all(node.events == [("start", 0)] for node in nodes.values())
 
 
 def test_deterministic_traces_for_same_seed():
@@ -457,7 +458,7 @@ def test_deterministic_traces_for_same_seed():
 
 def test_empty_protocol_trace_has_no_protocol_events():
     sim, _ = make_sim()
-    trace = sim.run(stop=lambda s: s.now > 0, horizon=Fraction(100))
+    trace = sim.run(Fraction(100))
     assert [ev for ev in trace.events if ev.kind in ("send", "deliver")] == []
 
 
@@ -544,7 +545,7 @@ def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
         sim.nodes[pid] = probe
     for time, (rank, pid) in initial:
         push(time, rank, pid)
-    sim.run(stop=lambda s: False, horizon=Fraction(100))
+    sim.run(Fraction(100))
     assert popped == reference_pop_order(initial, plan)
     assert not sim._times and not sim._buckets
 
@@ -598,19 +599,23 @@ def test_horizon_and_order_checks_agree_with_fraction_operators(case):
         assert node.events == [("start", at)]
 
 
-def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide():
+def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide(monkeypatch):
     from squadsim import build_simulation, equivocate
     cfg = equivocate(7, 0, "squad")
     sim = build_simulation(cfg)
     checked = []
+    counter = Simulation.all_correct_decided
 
-    def stop(s):
+    def probe(s):
         rescan = all(p in s.decisions for p in range(1, s.n + 1) if p not in s.byzantine)
-        assert s.all_correct_decided() == rescan
+        assert counter(s) == rescan
         checked.append(rescan)
         return rescan
 
-    sim.run(stop, horizon=cfg.horizon)
+    # the run loop looks its stop check up on the class
+    monkeypatch.setattr(Simulation, "all_correct_decided", probe)
+    sim.run(cfg.horizon)
+    monkeypatch.undo()
     assert sim.all_correct_decided() and checked[-1] and len(checked) > 100
     # the equivocating leader runs the protocol and decides too
     assert set(sim.decisions) & sim.byzantine

@@ -19,9 +19,7 @@ from squadsim.metrics import (ALL_CHECKS, RunFacts, check_cert_computability,
                               check_conflicting_qcs, check_delay_bounds,
                               check_epoch_budget, check_invariants,
                               check_unforgeable_sigs,
-                              count_words, decision_time, find_sync_time,
-                              stable_epochs, sync_reference_time,
-                              sync_window_words)
+                              count_words, facts_of, sync_window_words)
 from squadsim.raresync import EnterEpochMsg, epoch_message
 from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
@@ -49,7 +47,7 @@ def advance(trace, time, pid, view):
 
 def test_count_words_window(happy_run):
     trace, cfg = happy_run.trace, happy_run.config
-    t_d = decision_time(trace, cfg)
+    t_d = facts_of(trace, cfg).t_d
     assert count_words(trace, cfg.gst, t_d) == 32
     # everything in this run is sent at or after GST
     assert count_words(trace, cfg.gst + 100, t_d) == 0
@@ -113,7 +111,7 @@ def test_find_sync_time_interval_intersection():
         advance(trace, t, pid, 9)
     for pid in (1, 2, 3, 4):
         advance(trace, 112, pid, 10)
-    t_s = find_sync_time(trace, cfg)
+    t_s = facts_of(trace, cfg).t_s
     assert t_s == Fraction(203, 2)
 
 
@@ -125,7 +123,7 @@ def test_find_sync_time_short_overlap_rejected():
         advance(trace, 100, pid, 9)
         advance(trace, 104, pid, 10)   # view 9 overlap is 4 < 8
     # the view-9 window is rejected; the sync lands in view 10's open dwell
-    assert find_sync_time(trace, cfg) == 104
+    assert facts_of(trace, cfg).t_s == 104
 
 
 def test_find_sync_time_skips_byzantine_leader():
@@ -135,14 +133,14 @@ def test_find_sync_time_skips_byzantine_leader():
     trace = Trace()
     for pid in (1, 3, 4):
         advance(trace, 100, pid, 9)
-    assert find_sync_time(trace, cfg) is None
+    assert facts_of(trace, cfg).t_s is None
 
 
 def test_sync_reference_shifts_with_late_starts():
     cfg = happy(4, 0, "squad")
     res = run_scenario(cfg)
     # certification delays consensus starts past GST by up to 2*delta
-    t0 = sync_reference_time(res.trace, cfg)
+    t0 = facts_of(res.trace, cfg).sync_reference
     assert cfg.gst < t0 <= cfg.gst + 2 * cfg.delta
 
 
@@ -150,7 +148,7 @@ def test_sync_reference_shifts_with_late_starts():
 
 def _append_advance(trace, cfg):
     # P1 leaves the synchronized view long before the overlap is over
-    advance(trace, find_sync_time(trace, cfg) + 1, 1,
+    advance(trace, facts_of(trace, cfg).t_s + 1, 1,
             trace.index.advances[1][-1][1] + 1)
 
 
@@ -167,7 +165,7 @@ def test_run_facts_follow_new_events_and_config_values(wc_run, mutate):
     trace, cfg = wc_run.trace, wc_run.config
 
     def facts(t):
-        return find_sync_time(t, cfg), stable_epochs(t, cfg)[1]
+        return facts_of(t, cfg).t_s, facts_of(t, cfg).stable_epochs[1]
 
     before = facts(trace)   # the report already derived these
     mutate(trace, cfg)
@@ -193,7 +191,7 @@ def test_report_derives_each_run_fact_once(monkeypatch):
     monkeypatch.setattr(RunFacts, "__init__", counting("__init__", RunFacts.__init__))
     cfg = worst_case(7, 0, "squad")
     sim = build_simulation(cfg)
-    build_report(sim.run(horizon=cfg.horizon), cfg, sim.crypto)
+    build_report(sim.run(cfg.horizon), cfg, sim.crypto)
     assert calls == {name: 1 for name in [*props, "__init__"]}
 
 
@@ -327,6 +325,34 @@ def test_verifying_certificate_is_reported_per_copy():
     out = check_cert_computability(trace, cfg, crypto)
     assert out == ["cert_computability: certificate for 8 appeared despite "
                    "unanimity on 5"] * 4
+
+
+def test_certificate_verdicts_are_kept_per_value():
+    crypto = CryptoSystem(4, 1)
+    cfg = happy(4, 0, "squad")
+    cfg.proposals = {p: 5 for p in range(1, 5)}
+    cert = Certificate(8, crypto.combine([crypto.share_sign(p, value_message(8), "cert")
+                                          for p in (1, 2)]))
+    trace = Trace()
+    # the same certificate claimed for 5 (does not verify), then carried for 8
+    _broadcast(trace, 1, 3, CertificateMsg(5, cert), n=1)
+    _broadcast(trace, 2, 3, CoreMessage(PRECOMMIT, 5, cert=cert), n=1)
+    out = check_cert_computability(trace, cfg, crypto)
+    assert out == ["cert_computability: certificate for 8 appeared despite "
+                   "unanimity on 5"]
+
+
+def test_cert_computability_verifies_each_certificate_once(monkeypatch):
+    res = run_scenario(worst_case(7, 0, "squad"))
+    certs = {id(ev.payload.cert) for ev in res.trace.events
+             if ev.kind in ("send", "byz")
+             and isinstance(getattr(ev.payload, "cert", None), Certificate)}
+    crypto, calls = res.simulation.crypto, []
+    verify = crypto.combined_verify
+    monkeypatch.setattr(crypto, "combined_verify",
+                        lambda *args: calls.append(args) or verify(*args))
+    assert check_cert_computability(res.trace, res.config, crypto) == []
+    assert 0 < len(calls) <= 2 * len(certs)
 
 
 def test_planted_registry_covers_every_checker():

@@ -16,7 +16,7 @@ VIEW = OVERLAP + 2 * DELTA + EPS
 
 def make_sync(crypto, pid=1, advance_log=None):
     log = advance_log if advance_log is not None else []
-    return RareSync(pid, crypto.n, crypto.f, DELTA, VIEW,
+    return RareSync(pid, crypto.f, DELTA, VIEW,
                     advance=lambda ctx, v: log.append(v)), log
 
 
