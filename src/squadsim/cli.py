@@ -6,8 +6,8 @@ or fails to decide. Flags override a flat key=value config file; the
 SQUADSIM_OUT environment variable supplies the default output directory.
 
 Exit codes: 0 all runs decided with zero violations; 1 a run failed to
-decide by its horizon, raised an adversary error, or violated an
-invariant; 2 configuration error.
+decide by its horizon, raised an adversary or protocol error, or violated
+an invariant; 2 configuration error.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 from .adversary import BUILDERS, SCENARIO_KEYS, custom_file
-from .engine import AdversaryViolation
+from .engine import AdversaryViolation, ProtocolError
 from .metrics import CSV_HEADER
 from .runner import PROTOCOLS, run_scenario
 
@@ -146,6 +147,31 @@ def default_out_path(opts) -> Path:
     return out_dir / f"{opts['protocol']}_{opts['scenario']}.csv"
 
 
+def run_one(cfg, trace_dir: Optional[Path]) -> tuple[Optional[str], bool]:
+    """Run one configuration, print its status line and write its trace
+    file. Returns its CSV row (None when the run raised) and whether it
+    failed. The run, its trace included, is freed when this returns, so a
+    sweep holds one run at a time."""
+    head = f"{cfg.protocol} n={cfg.n} seed={cfg.seed} scenario={cfg.name}"
+    try:
+        result = run_scenario(cfg)
+    except (AdversaryViolation, ProtocolError) as exc:
+        print(f"[FAIL] {head} error={type(exc).__name__}: {exc}")
+        return None, True
+    report = result.report
+    failed = bool(report.violations) or not report.decided
+    print(f"[{'FAIL' if failed else 'ok'}] {head} "
+          f"words={report.words_post_gst} t_s={report.t_s} t_d={report.t_d} "
+          f"violations={len(report.violations)}")
+    for v in report.violations:
+        print(f"    {v}")
+    if trace_dir:
+        name = f"{cfg.protocol}_{cfg.name}_n{cfg.n}_seed{cfg.seed}.trace"
+        with open(trace_dir / name, "w", encoding="utf-8", newline="\n") as fp:
+            result.trace.write(fp)
+    return report.csv_row(), failed
+
+
 def main(argv=None) -> int:
     try:
         opts = resolve_options(argv)
@@ -175,28 +201,10 @@ def main(argv=None) -> int:
             except (ValueError, ZeroDivisionError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
-            try:
-                result = run_scenario(cfg)
-            except AdversaryViolation as exc:
-                failures += 1
-                print(f"[FAIL] {cfg.protocol} n={n} seed={seed} "
-                      f"scenario={cfg.name} error={type(exc).__name__}: {exc}")
-                continue
-            report = result.report
-            rows.append(report.csv_row())
-            status = "ok"
-            if report.violations or not report.decided:
-                failures += 1
-                status = "FAIL"
-            print(f"[{status}] {cfg.protocol} n={n} seed={seed} "
-                  f"scenario={cfg.name} words={report.words_post_gst} "
-                  f"t_s={report.t_s} t_d={report.t_d} "
-                  f"violations={len(report.violations)}")
-            for v in report.violations:
-                print(f"    {v}")
-            if trace_dir:
-                name = f"{cfg.protocol}_{cfg.name}_n{n}_seed{seed}.trace"
-                (trace_dir / name).write_text(result.trace.serialize())
+            row, failed = run_one(cfg, trace_dir)
+            failures += failed
+            if row is not None:
+                rows.append(row)
     out_path.write_text("\n".join(rows) + "\n")
     print(f"wrote {out_path}")
     return 1 if failures else 0

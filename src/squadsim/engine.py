@@ -46,7 +46,11 @@ float and never ``Fraction``'s comparison dispatch. Time itself stays a
 ``Fraction`` wherever it is stored, logged or serialized.
 
 Local computation takes zero simulated time: everything a handler emits
-while processing one event happens at the same instant.
+while processing one event happens at the same instant. An exception a
+handler raises ends the run as a ``ProtocolError`` that names the process
+and the event it was handling; an ``AdversaryViolation`` passes unchanged.
+The simulation keeps no ``ProcessContext``: ``run`` makes its own, so a
+finished run holds no reference cycle and is freed with its last reference.
 """
 
 from __future__ import annotations
@@ -68,6 +72,19 @@ TIMER_KINDS = ("view_timer", "dissemination_timer", "baseline_timer")
 
 class AdversaryViolation(Exception):
     """An adversary-chosen delay or emission broke a model invariant."""
+
+
+class ProtocolError(Exception):
+    """A node's handler raised: the message names the process and the event
+    it was handling, and the handler's exception is the ``__cause__``."""
+
+
+def _event_name(tag: str, data) -> str:
+    if tag == "deliver":
+        return f"the delivery of #{data.seq} from P{data.sender}"
+    if tag == "timer":
+        return f"the timer {data[0]}:gen{data[1]}"
+    return "its start"
 
 
 class DelayPolicy(Protocol):
@@ -157,7 +174,6 @@ class Simulation:
         self.now: Fraction = Fraction(0)
         self.trace = Trace()
         self.nodes: dict[int, Node] = {}
-        self.contexts = {p: ProcessContext(self, p) for p in range(1, n + 1)}
         # (pid, kind) -> current generation; an unknown kind is a KeyError
         self.timers = {(p, k): 0 for p in range(1, n + 1) for k in TIMER_KINDS}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
@@ -191,6 +207,12 @@ class Simulation:
         return self._latest
 
     # -- wiring ----------------------------------------------------------
+
+    def context(self, pid: int) -> ProcessContext:
+        """A facade acting as ``pid``. The simulation keeps none: a context
+        points back at it, so holding them would make every finished run a
+        reference cycle that only the cycle collector frees."""
+        return ProcessContext(self, pid)
 
     def add_node(self, pid: int, node: Node, start_at: SimTime) -> None:
         self.nodes[pid] = node
@@ -285,53 +307,66 @@ class Simulation:
         horizon_t = Fraction(horizon)
         hn, hd = horizon_t.numerator, horizon_t.denominator
         times, buckets = self._times, self._buckets
-        nodes, contexts, timers = self.nodes, self.contexts, self.timers
+        nodes, timers = self.nodes, self.timers
+        contexts = {p: self.context(p) for p in range(1, self.n + 1)}
         append = self.trace.events.append
-        while True:
-            if stop(self):
-                return self.trace
-            if not times:
-                # nothing left to happen; time passes quietly to the horizon
-                self.now = max(self.now, horizon_t)
-                self.trace.horizon_hit = True
-                return self.trace
-            # horizon and monotonicity hold for a whole bucket, since all
-            # its entries share one time; both are integer cross-products
-            time = times[0][1]
-            key = tn, td = time.numerator, time.denominator
-            if tn * hd > hn * td:
-                self.trace.horizon_hit = True
-                return self.trace
-            now = self.now
-            assert tn * now.denominator >= now.numerator * td, \
-                "event queue went backwards"
-            self.now = time
-            bucket = buckets[key]
+        # one handler for the whole loop: it costs nothing until something
+        # raises. An exception raised by a handler (not by this frame's own
+        # queue checks) becomes a ProtocolError naming the pid and event.
+        try:
             while True:
-                _, pid, _, tag, data = heapq.heappop(bucket)
-                if not bucket:
-                    # retire the time now: a handler pushing at this same
-                    # time then opens a fresh bucket for it
-                    del buckets[key]
-                    retired = heapq.heappop(times)
-                    assert retired[1] is time, "event queue went backwards"
-                node = nodes.get(pid)
-                if node is not None:
-                    if tag == "deliver":
-                        # data is the send event: the delivery is built from it
-                        append(TraceEvent(time, pid, "deliver", None, 0,
-                                          data.payload, data.sender, pid, data.seq))
-                        node.on_deliver(contexts[pid], data.sender, data.payload)
-                    elif tag == "timer":
-                        kind, generation = data
-                        # skipped if canceled or superseded by a newer measure
-                        if timers[(pid, kind)] == generation:
-                            append(TraceEvent(time, pid, "timer",
-                                              f"{kind}:gen{generation}", 0))
-                            node.on_timer(contexts[pid], kind)
-                    elif tag == "start":
-                        node.on_start(contexts[pid])
-                if not bucket:
-                    break
                 if stop(self):
                     return self.trace
+                if not times:
+                    # nothing left to happen; time passes quietly to the horizon
+                    self.now = max(self.now, horizon_t)
+                    self.trace.horizon_hit = True
+                    return self.trace
+                # horizon and monotonicity hold for a whole bucket, since all
+                # its entries share one time; both are integer cross-products
+                time = times[0][1]
+                key = tn, td = time.numerator, time.denominator
+                if tn * hd > hn * td:
+                    self.trace.horizon_hit = True
+                    return self.trace
+                now = self.now
+                assert tn * now.denominator >= now.numerator * td, \
+                    "event queue went backwards"
+                self.now = time
+                bucket = buckets[key]
+                while True:
+                    _, pid, _, tag, data = heapq.heappop(bucket)
+                    if not bucket:
+                        # retire the time now: a handler pushing at this same
+                        # time then opens a fresh bucket for it
+                        del buckets[key]
+                        retired = heapq.heappop(times)
+                        assert retired[1] is time, "event queue went backwards"
+                    node = nodes.get(pid)
+                    if node is not None:
+                        if tag == "deliver":
+                            # data is the send event: the delivery is built from it
+                            append(TraceEvent(time, pid, "deliver", None, 0,
+                                              data.payload, data.sender, pid, data.seq))
+                            node.on_deliver(contexts[pid], data.sender, data.payload)
+                        elif tag == "timer":
+                            kind, generation = data
+                            # skipped if canceled or superseded by a newer measure
+                            if timers[(pid, kind)] == generation:
+                                append(TraceEvent(time, pid, "timer",
+                                                  f"{kind}:gen{generation}", 0))
+                                node.on_timer(contexts[pid], kind)
+                        elif tag == "start":
+                            node.on_start(contexts[pid])
+                    if not bucket:
+                        break
+                    if stop(self):
+                        return self.trace
+        except AdversaryViolation:
+            raise
+        except Exception as exc:
+            if exc.__traceback__.tb_next is None:
+                raise
+            raise ProtocolError(
+                f"P{pid} raised {type(exc).__name__}: {exc} while handling "
+                f"{_event_name(tag, data)} at t={self.now}") from exc

@@ -15,13 +15,23 @@ A ``Trace`` holds only its events, whether the run stopped at its horizon,
 and the index the metrics cache on it. It keeps no copy of the run's
 configuration: readers take n, f, GST, delta and the Byzantine set from
 the config they check against.
+
+The serialized text is streamed: ``Trace.blocks`` renders the events in
+blocks of ``BLOCK_LINES`` lines, and ``write`` (a file), ``sha256`` (a
+digest) and ``serialize`` (one string) all consume those blocks, so
+writing or hashing a trace never holds more than one block of its text.
+Every line ends in a newline, so an empty trace serializes to "".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterator, Optional, TextIO
+
+# lines per block of streamed text: a block is built, consumed and freed
+# before the next one is rendered
+BLOCK_LINES = 128
 
 
 def _summary(payload) -> str:
@@ -41,20 +51,26 @@ class TraceEvent:
     receiver: Optional[int] = None
     seq: Optional[int] = None  # message id pairing a send with its delivery
 
-    def line(self, summaries: Optional[dict[int, str]] = None) -> str:
-        """The serialized event. ``summaries`` memoizes payload summaries
-        by ``id(payload)``; it is only valid while those payloads live."""
+    def line(self, summaries: Optional[dict[int, str]] = None,
+             times: Optional[dict[int, str]] = None) -> str:
+        """The serialized event, without its newline. ``summaries`` and
+        ``times`` memoize the payload summary and the time string by the
+        object's ``id``; they are only valid while those objects live."""
+        times = {} if times is None else times
+        stamp = times.get(id(self.time))
+        if stamp is None:
+            stamp = times[id(self.time)] = str(self.time)
         detail = self.detail
         if detail is None:
-            memo = {} if summaries is None else summaries
-            text = memo.get(id(self.payload))
+            summaries = {} if summaries is None else summaries
+            text = summaries.get(id(self.payload))
             if text is None:
-                text = memo[id(self.payload)] = _summary(self.payload)
+                text = summaries[id(self.payload)] = _summary(self.payload)
             if self.kind == "deliver":
                 detail = f"{text}<-P{self.sender}#{self.seq}"
             else:
                 detail = f"{text}->P{self.receiver}#{self.seq}"
-        return f"{self.time}|{self.process}|{self.kind}|{detail}|{self.words}"
+        return f"{stamp}|{self.process}|{self.kind}|{detail}|{self.words}"
 
 
 @dataclass
@@ -67,8 +83,35 @@ class Trace:
     def append(self, ev: TraceEvent) -> None:
         self.events.append(ev)
 
-    def serialize(self) -> str:
-        # one summary per distinct payload: a broadcast's n sends and n
-        # deliveries share one payload object, which the events keep alive
+    def blocks(self) -> Iterator[str]:
+        """The serialized trace in blocks of ``BLOCK_LINES`` lines, each line
+        ending in a newline. One summary per distinct payload and one time
+        string per distinct time object: a broadcast's n sends and n
+        deliveries share one payload, and the events of one instant share
+        one time. The events keep both alive while the memos are in use."""
         summaries: dict[int, str] = {}
-        return "\n".join(ev.line(summaries) for ev in self.events) + "\n"
+        times: dict[int, str] = {}
+        events = self.events
+        for start in range(0, len(events), BLOCK_LINES):
+            lines = [ev.line(summaries, times)
+                     for ev in events[start:start + BLOCK_LINES]]
+            lines.append("")
+            yield "\n".join(lines)
+
+    def write(self, fp: TextIO) -> None:
+        """Write the serialized trace to the text file ``fp``, block by block."""
+        for block in self.blocks():
+            fp.write(block)
+
+    def sha256(self) -> str:
+        """The hex SHA-256 of the serialized trace's UTF-8 bytes."""
+        # imported here: loading OpenSSL's hashes adds about 3.6 MB to the
+        # peak RSS of every process that imports squadsim
+        import hashlib
+        digest = hashlib.sha256()
+        for block in self.blocks():
+            digest.update(block.encode())
+        return digest.hexdigest()
+
+    def serialize(self) -> str:
+        return "".join(self.blocks())

@@ -193,7 +193,7 @@ def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
         for i, sent in enumerate(sends * 8):
             payload = (HeldNote if i % 2 else Note)(str(i))
             sim.now = Fraction(sent)   # a fresh object: a new send instant
-            sim.contexts[1].send(2, payload)
+            sim.context(1).send(2, payload)
             expected.append(_jitter_formula(policy, rng, sent, payload, gst, delta))
         # each copy's delivery time is the time of the bucket holding it
         at = {(t.numerator, t.denominator): t for _, t in sim._times}

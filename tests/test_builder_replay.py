@@ -15,7 +15,6 @@ Rerun only when a change is meant to alter traces or CSV rows:
 """
 
 import functools
-import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -64,7 +63,7 @@ def outcome(key: str) -> dict:
     result = run_scenario(build(key))
     trace = result.trace
     return {"csv": result.report.csv_row(), "events": len(trace.events),
-            "sha256": hashlib.sha256(trace.serialize().encode()).hexdigest()}
+            "sha256": trace.sha256()}
 
 
 @pytest.mark.parametrize("key", run_keys())

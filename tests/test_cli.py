@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from squadsim import cli
+from squadsim import cli, run_scenario, worst_case
 from squadsim.cli import main, parse_seed_range
+from squadsim.crypto import CryptoSystem, ThresholdTooSmall
 from squadsim.engine import AdversaryViolation
 from squadsim.metrics import CSV_HEADER
 
@@ -101,6 +103,22 @@ def test_trace_files_are_replay_identical(tmp_path):
         assert code == 0
         blobs.append((tdir / "squad_worst_case_n4_seed0.trace").read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == run_scenario(worst_case(4, 0, "squad")).trace.serialize().encode()
+
+
+def test_sweep_frees_each_run_before_the_next(tmp_path, monkeypatch):
+    real_run, traces = cli.run_scenario, []
+
+    def run_and_watch(cfg):
+        assert all(trace() is None for trace in traces), "an earlier run is alive"
+        result = real_run(cfg)
+        traces.append(weakref.ref(result.trace))
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", run_and_watch)
+    code, _ = run_cli(tmp_path, "--protocol", "squad", "--n", "4,7",
+                      "--scenario", "worst_case", "--seeds", "0..1")
+    assert code == 0 and len(traces) == 4
 
 
 def test_parse_seed_range_forms():
@@ -285,3 +303,20 @@ def test_runtime_error_is_a_reported_failure(tmp_path, monkeypatch, capsys, erro
     # the failed run has no report, so only seed 1 has a row
     rows = out.read_text().splitlines()
     assert rows[0] == CSV_HEADER and [r.split(",")[3] for r in rows[1:]] == ["1"]
+
+
+def test_handler_exception_is_a_reported_protocol_error(tmp_path, monkeypatch, capsys):
+    def combine(self, partials):
+        raise ThresholdTooSmall("planted")
+
+    monkeypatch.setattr(CryptoSystem, "combine", combine)
+    code, out = run_cli(tmp_path, "--protocol", "squad", "--n", "4",
+                        "--scenario", "worst_case", "--seeds", "0")
+    assert code == 1
+    printed = capsys.readouterr()
+    (line,) = printed.out.splitlines()[:-1]    # the last line names the CSV
+    assert line.startswith("[FAIL] squad n=4 seed=0 scenario=worst_case "
+                           "error=ProtocolError: P")
+    assert "raised ThresholdTooSmall: planted while handling" in line
+    assert "Traceback" not in printed.out + printed.err
+    assert out.read_text().splitlines() == [CSV_HEADER]

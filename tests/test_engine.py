@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 
 from squadsim.adversary import ScheduledReleasePolicy
-from squadsim.engine import AdversaryViolation, MaxDelayPolicy, Simulation
+from squadsim.engine import (AdversaryViolation, MaxDelayPolicy, ProtocolError,
+                             Simulation)
 from squadsim.timebase import ClockModel
 from squadsim.trace import TraceEvent
 from tests.exact_times import exact_cases
@@ -69,7 +70,7 @@ def queued_deliveries(sim):
 def test_pop_order_is_nondecreasing_and_documented():
     sim, nodes = make_sim()
     drain(sim, horizon=Fraction(15))   # consume start events
-    ctx = sim.contexts[1]
+    ctx = sim.context(1)
     # same instant: a timer and a delivery; delivery must be handled first
     sim.now = Fraction(20)
     ctx.measure("view_timer", Fraction(1))
@@ -83,7 +84,7 @@ def test_pop_order_is_nondecreasing_and_documented():
 
 def test_timer_generation_cancel():
     sim, nodes = make_sim()
-    ctx = sim.contexts[2]
+    ctx = sim.context(2)
     ctx.measure("view_timer", Fraction(5))
     ctx.cancel("view_timer")
     drain(sim)
@@ -92,7 +93,7 @@ def test_timer_generation_cancel():
 
 def test_cancel_idempotent_and_remeasure_replaces():
     sim, nodes = make_sim()
-    ctx = sim.contexts[2]
+    ctx = sim.context(2)
     ctx.cancel("view_timer")
     ctx.cancel("view_timer")
     ctx.measure("view_timer", Fraction(10))
@@ -104,7 +105,7 @@ def test_cancel_idempotent_and_remeasure_replaces():
 
 def test_cancel_then_measure_fires_once():
     sim, nodes = make_sim()
-    ctx = sim.contexts[3]
+    ctx = sim.context(3)
     ctx.measure("dissemination_timer", Fraction(7))
     ctx.cancel("dissemination_timer")
     ctx.measure("dissemination_timer", Fraction(1))
@@ -193,7 +194,7 @@ def test_timers_fire_as_a_reference_model_of_armed_expiries(ops, script):
             sim.now = to
         else:
             pid, *rest = args
-            getattr(sim.contexts[pid], op)(*rest)
+            getattr(sim.context(pid), op)(*rest)
     trace = drain(sim, horizon=sim.now + 100)
     fired = [(ev.time, ev.process, ev.detail) for ev in trace.events if ev.kind == "timer"]
     assert fired == fire_reference(ops, script)
@@ -203,7 +204,7 @@ def test_timer_integrates_local_clock():
     clocks = {p: ClockModel.drift_until(p, Fraction(1, 2), Fraction(100))
               for p in range(1, 5)}
     sim, nodes = make_sim(gst=Fraction(100), clocks=clocks)
-    sim.contexts[1].measure("view_timer", Fraction(10))
+    sim.context(1).measure("view_timer", Fraction(10))
     drain(sim)
     fired = [e for e in nodes[1].events if e[0] == "timer"]
     assert fired[0][1] == Fraction(20)
@@ -218,7 +219,7 @@ def test_post_gst_delay_bound_enforced():
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(50)
     with pytest.raises(AdversaryViolation):
-        sim.contexts[1].send(2, Ping("late"))
+        sim.context(1).send(2, Ping("late"))
 
 
 def test_pre_gst_delay_only_needs_finiteness():
@@ -227,7 +228,7 @@ def test_pre_gst_delay_only_needs_finiteness():
             return sim.gst + sim.delta  # legal for pre-GST sends
 
     sim, nodes = make_sim(policy=SlowPolicy())
-    sim.contexts[1].send(2, Ping("held"))
+    sim.context(1).send(2, Ping("held"))
     drain(sim)
     deliveries = [e for e in nodes[2].events if e[0] == "deliver"]
     assert deliveries[0][1] == Fraction(11)
@@ -247,9 +248,9 @@ def test_illegal_send_after_a_legal_one_in_the_same_instant_raises():
     sim, _ = make_sim(policy=ScriptedPolicy(Fraction(51), Fraction(52)))
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(50)
-    sim.contexts[1].send(2, Ping("ok"))
+    sim.context(1).send(2, Ping("ok"))
     with pytest.raises(AdversaryViolation, match="outside"):
-        sim.contexts[1].send(3, Ping("late"))
+        sim.context(1).send(3, Ping("late"))
 
 
 def test_same_illegal_delivery_time_raises_every_time():
@@ -258,26 +259,26 @@ def test_same_illegal_delivery_time_raises_every_time():
     sim.now = Fraction(50)
     for receiver in (2, 3):
         with pytest.raises(AdversaryViolation):
-            sim.contexts[1].send(receiver, Ping("late"))
+            sim.context(1).send(receiver, Ping("late"))
 
 
 def test_delivery_legal_at_one_instant_is_checked_again_at_the_next():
     # 52 is legal for a pre-GST send at 5, but 2 past delta at 50
     sim, _ = make_sim(policy=ScriptedPolicy(Fraction(52), Fraction(52)))
     sim.now = Fraction(5)
-    sim.contexts[1].send(2, Ping("held"))
+    sim.context(1).send(2, Ping("held"))
     sim.now = Fraction(50)
     with pytest.raises(AdversaryViolation):
-        sim.contexts[1].send(2, Ping("late"))
+        sim.context(1).send(2, Ping("late"))
 
 
 def test_int_delivery_time_becomes_a_fraction_and_is_validated():
     sim, nodes = make_sim(policy=ScriptedPolicy(21, 23))
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
-    sim.contexts[1].send(2, Ping("int"))
+    sim.context(1).send(2, Ping("int"))
     with pytest.raises(AdversaryViolation):
-        sim.contexts[1].send(3, Ping("int-late"))
+        sim.context(1).send(3, Ping("int-late"))
     trace = drain(sim)
     deliver = next(ev for ev in trace.events if ev.kind == "deliver")
     assert deliver.time == 21 and type(deliver.time) is Fraction
@@ -291,9 +292,9 @@ def test_policy_reads_values_of_the_current_instant_after_reassignment():
     policy = ScheduledReleasePolicy({2: Fraction(12)}, (Ping,))
     sim, _ = make_sim(policy=policy)
     sim.now = Fraction(5)
-    sim.contexts[1].send(2, Ping("held"))
+    sim.context(1).send(2, Ping("held"))
     sim.now = Fraction(50)
-    sim.contexts[1].send(2, Ping("after"))
+    sim.context(1).send(2, Ping("after"))
     queued = {ev.payload.tag: at for ev, at in queued_deliveries(sim)}
     assert queued == {"held": Fraction(12), "after": Fraction(51)}
 
@@ -302,10 +303,10 @@ def test_broadcast_copies_share_one_delivery_time_object():
     sim, _ = make_sim(policy=ScheduledReleasePolicy({}, ()))
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
-    sim.contexts[1].broadcast(Ping("all"))
+    sim.context(1).broadcast(Ping("all"))
     first = sim.latest_delivery
     sim.now = Fraction(30)
-    sim.contexts[1].broadcast(Ping("next"))
+    sim.context(1).broadcast(Ping("next"))
     times = [at for _, at in queued_deliveries(sim)]
     assert sorted(times) == [Fraction(21)] * 4 + [Fraction(31)] * 4
     assert len({id(t) for t in times}) == 2
@@ -334,7 +335,7 @@ def test_broadcast_copies_are_distinct_send_events_in_receiver_order():
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
     seq0 = sim._seq
-    sim.contexts[2].broadcast(Ping("all"), words=3)
+    sim.context(2).broadcast(Ping("all"), words=3)
     sends = [ev for ev in sim.trace.events if ev.kind == "send"]
     assert [(ev.receiver, ev.seq) for ev in sends] == [(r, seq0 + r) for r in range(1, 5)]
     assert len({id(ev) for ev in sends}) == 4
@@ -353,7 +354,7 @@ def test_scheduled_release_sees_each_broadcast_copy_receiver():
     policy = ScheduledReleasePolicy({2: Fraction(12), 3: Fraction(14)}, (Ping,))
     sim, _ = make_sim(policy=policy)
     sim.now = Fraction(5)
-    sim.contexts[1].broadcast(Ping("held"))
+    sim.context(1).broadcast(Ping("held"))
     assert {ev.receiver: at for ev, at in queued_deliveries(sim)} == \
         {1: Fraction(6), 2: Fraction(12), 3: Fraction(14), 4: Fraction(6)}
 
@@ -362,11 +363,11 @@ def test_each_broadcast_reads_the_instant_it_is_made_at():
     policy = RecordingPolicy()
     sim, _ = make_sim(policy=policy)
     sim.now = Fraction(5)
-    sim.contexts[1].broadcast(Ping("before"))
+    sim.context(1).broadcast(Ping("before"))
     sim.now = Fraction(50)
-    sim.contexts[1].broadcast(Ping("after"))
+    sim.context(1).broadcast(Ping("after"))
     sim.now = Fraction(5)   # an equal time, but a new object: a new instant
-    sim.contexts[1].broadcast(Ping("again"))
+    sim.context(1).broadcast(Ping("again"))
     assert [(post_gst, latest) for *_, post_gst, latest in policy.seen] == \
         [(False, Fraction(6))] * 4 + [(True, Fraction(51))] * 4 + [(False, Fraction(6))] * 4
 
@@ -379,7 +380,7 @@ def test_violation_at_copy_k_keeps_only_the_copies_before_it(k):
     sim.now = Fraction(50)
     before, seq0 = len(sim.trace.events), sim._seq
     with pytest.raises(AdversaryViolation, match="outside"):
-        sim.contexts[1].broadcast(Ping("cut"))
+        sim.context(1).broadcast(Ping("cut"))
     logged = sim.trace.events[before:]
     assert [(ev.kind, ev.receiver) for ev in logged] == [("send", r) for r in range(1, k)]
     assert sorted(ev.receiver for ev, _ in queued_deliveries(sim)) == list(range(1, k))
@@ -396,9 +397,60 @@ def test_rejected_send_consumes_no_seq_and_logs_nothing():
                  lambda ctx: ctx.send(5, Ping("nobody")),
                  lambda ctx: ctx.send(0, Ping("nobody"))):
         with pytest.raises(ValueError):
-            call(sim.contexts[1])
+            call(sim.context(1))
     assert sim._seq == seq0 and len(sim.trace.events) == before
     assert not sim._buckets
+
+
+class Faulty:
+    """Sends itself a ping and measures a timer at start, then raises in the
+    hook named ``fail_in``."""
+
+    def __init__(self, fail_in):
+        self.fail_in = fail_in
+
+    def on_start(self, ctx):
+        ctx.send(ctx.pid, Ping("self"))
+        ctx.measure("view_timer", Fraction(5))
+        self.hook(ctx, "start")
+
+    def on_deliver(self, ctx, sender, payload):
+        self.hook(ctx, "deliver")
+
+    def on_timer(self, ctx, kind):
+        self.hook(ctx, "timer")
+
+    def hook(self, ctx, name):
+        if name == self.fail_in:
+            raise RuntimeError(f"boom in {name}")
+
+
+def faulty_sim(node, policy=None):
+    sim = Simulation(4, 1, Fraction(0), Fraction(1), policy or MaxDelayPolicy())
+    for p in (1, 2, 4):
+        sim.add_node(p, Recorder(), Fraction(0))
+    sim.add_node(3, node, Fraction(2))
+    return sim
+
+
+@pytest.mark.parametrize("fail_in, event, at", [
+    ("start", "its start", 2),
+    ("deliver", "the delivery of #5 from P3", 3),
+    ("timer", "the timer view_timer:gen1", 7),
+])
+def test_handler_exception_is_a_protocol_error(fail_in, event, at):
+    with pytest.raises(ProtocolError) as info:
+        faulty_sim(Faulty(fail_in)).run(Fraction(100))
+    assert str(info.value) == (f"P3 raised RuntimeError: boom in {fail_in} "
+                               f"while handling {event} at t={at}")
+    assert type(info.value.__cause__) is RuntimeError
+
+
+def test_adversary_violation_in_a_handler_is_not_wrapped():
+    # the start handler's send to itself arrives 48 after it, past delta
+    sim = faulty_sim(Faulty(None), FixedDelivery(Fraction(50)))
+    with pytest.raises(AdversaryViolation, match="outside"):
+        sim.run(Fraction(100))
 
 
 def test_finished_run_is_not_kept_alive_by_its_config():
@@ -416,7 +468,7 @@ def test_self_send_has_normal_bounds():
     sim, nodes = make_sim()
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(30)
-    sim.contexts[2].send(2, Ping("self"))
+    sim.context(2).send(2, Ping("self"))
     drain(sim)
     deliveries = [e for e in nodes[2].events if e[0] == "deliver"]
     assert deliveries[0][1] == Fraction(31) and deliveries[0][2] == 2
@@ -425,13 +477,13 @@ def test_self_send_has_normal_bounds():
 def test_rejects_nonpositive_words():
     sim, _ = make_sim()
     with pytest.raises(ValueError):
-        sim.contexts[1].send(2, Ping("free"), words=0)
+        sim.context(1).send(2, Ping("free"), words=0)
 
 
 def test_byzantine_sends_logged_as_byz():
     sim, _ = make_sim(byz=frozenset({4}))
-    sim.contexts[4].send(1, Ping("evil"))
-    sim.contexts[1].send(2, Ping("fine"))
+    sim.context(4).send(1, Ping("evil"))
+    sim.context(1).send(2, Ping("fine"))
     kinds = {(ev.process, ev.kind) for ev in sim.trace.events
              if ev.kind in ("send", "byz")}
     assert (4, "byz") in kinds and (1, "send") in kinds
@@ -447,10 +499,10 @@ def test_drained_queue_ends_at_the_horizon():
 def test_deterministic_traces_for_same_seed():
     def run_once():
         sim, _ = make_sim()
-        ctx = sim.contexts[1]
+        ctx = sim.context(1)
         for p in range(1, 5):
             ctx.send(p, Ping(f"to{p}"))
-        sim.contexts[2].measure("view_timer", Fraction(4))
+        sim.context(2).measure("view_timer", Fraction(4))
         return drain(sim).serialize()
 
     assert run_once() == run_once()
@@ -466,7 +518,7 @@ def test_trace_line_format_is_fixed():
     sim, _ = make_sim()
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
-    sim.contexts[1].send(2, Ping("fmt"))
+    sim.context(1).send(2, Ping("fmt"))
     trace = drain(sim)
     send = next(ev for ev in trace.events if ev.kind == "send")
     assert send.line() == f"20|1|send|PING(fmt)->P2#{send.seq}|1"
@@ -573,11 +625,11 @@ def test_send_legality_agrees_with_fraction_operators(case):
     else:
         legal = deliver >= now
     if legal:
-        sim.contexts[1].send(2, Ping("p"))
+        sim.context(1).send(2, Ping("p"))
         assert (deliver.numerator, deliver.denominator) in sim._buckets
     else:
         with pytest.raises(AdversaryViolation):
-            sim.contexts[1].send(2, Ping("p"))
+            sim.context(1).send(2, Ping("p"))
 
 
 @given(exact_cases())

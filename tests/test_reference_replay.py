@@ -8,7 +8,6 @@ trace format or a handler that alters any trace byte fails tier-1.
 The file is only read.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -34,5 +33,4 @@ def test_replay_matches_recorded_run(key):
     trace = result.trace
     assert result.report.csv_row() == RUNS[key]["csv"]
     assert len(trace.events) == RUNS[key]["events"]
-    assert (hashlib.sha256(trace.serialize().encode()).hexdigest()
-            == RUNS[key]["sha256"])
+    assert trace.sha256() == RUNS[key]["sha256"]

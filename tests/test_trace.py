@@ -1,0 +1,118 @@
+"""The streamed trace: ``serialize()``, ``write(fp)`` and ``sha256()`` give
+the same bytes, render each time and payload once, and writing holds one
+block of text at a time."""
+
+import functools
+import hashlib
+import io
+import os
+import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+
+from squadsim import adversary, run_scenario, worst_case
+from squadsim.trace import BLOCK_LINES, Trace, TraceEvent
+
+PROTOCOLS = ("raresync-quad", "squad", "alltoall", "doubling")
+BUILDERS = {**adversary.BUILDERS,
+            "custom-file": functools.partial(adversary.custom_file, {})}
+
+
+def outputs(trace: Trace) -> tuple[str, str, str]:
+    fp = io.StringIO()
+    trace.write(fp)
+    return trace.serialize(), fp.getvalue(), trace.sha256()
+
+
+def assert_agree(trace: Trace, text: str) -> None:
+    serialized, written, digest = outputs(trace)
+    assert serialized == written == text
+    assert digest == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_three_outputs_agree_on_every_builder(builder, protocol):
+    trace = run_scenario(BUILDERS[builder](4, 0, protocol)).trace
+    assert_agree(trace, "".join(ev.line() + "\n" for ev in trace.events))
+
+
+class CountingTime(Fraction):
+    renders = 0
+
+    def __str__(self):
+        CountingTime.renders += 1
+        return super().__str__()
+
+
+@dataclass(frozen=True)
+class Note:
+    text: str
+    renders: list
+
+    def summary(self):
+        self.renders.append(self.text)
+        return f"NOTE({self.text})"
+
+
+def test_three_outputs_agree_on_a_hand_built_trace():
+    CountingTime.renders = 0
+    first, equal = CountingTime(5, 2), CountingTime(10, 4)   # distinct, equal
+    assert first == equal and first is not equal
+    renders = []
+    note = Note("x", renders)
+    trace = Trace([
+        TraceEvent(first, 1, "advance", "v=1", 0, 1),
+        TraceEvent(first, 1, "send", None, 2, note, 1, 2, 7),
+        TraceEvent(first, 1, "send", None, 2, note, 1, 3, 8),
+        TraceEvent(equal, 2, "deliver", None, 0, note, 1, 2, 7),
+        TraceEvent(equal, 2, "timer", "view_timer:gen3", 0),
+        TraceEvent(Fraction(3), 3, "decide", "value=7", 0, 7),
+    ])
+    assert_agree(trace, "5/2|1|advance|v=1|0\n"
+                        "5/2|1|send|NOTE(x)->P2#7|2\n"
+                        "5/2|1|send|NOTE(x)->P3#8|2\n"
+                        "5/2|2|deliver|NOTE(x)<-P1#7|0\n"
+                        "5/2|2|timer|view_timer:gen3|0\n"
+                        "3|3|decide|value=7|0\n")
+    # three streams, each rendering one string per time object and payload
+    assert CountingTime.renders == 3 * 2 and renders == ["x"] * 3
+
+
+def test_blocks_split_the_text_at_block_lines():
+    trace = Trace([TraceEvent(Fraction(i), 1, "advance", f"v={i}", 0, i)
+                   for i in range(2 * BLOCK_LINES + 1)])
+    blocks = list(trace.blocks())
+    assert [block.count("\n") for block in blocks] == [BLOCK_LINES, BLOCK_LINES, 1]
+    assert_agree(trace, "".join(f"{i}|1|advance|v={i}|0\n"
+                                for i in range(2 * BLOCK_LINES + 1)))
+
+
+def test_empty_trace_serializes_to_nothing():
+    assert list(Trace().blocks()) == []
+    assert_agree(Trace(), "")
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` beyond what was live before."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - base
+
+
+def test_writing_holds_one_block_and_serialize_one_copy():
+    trace = run_scenario(worst_case(13, 0, "squad")).trace
+    length = len(trace.serialize())
+    tracemalloc.start()
+    try:
+        serialize_peak = traced_peak(trace.serialize)
+        with open(os.devnull, "w", encoding="utf-8", newline="\n") as fp:
+            write_peak = traced_peak(lambda: trace.write(fp))
+    finally:
+        tracemalloc.stop()
+    # the blocks plus the joined text; no per-line list of the whole trace
+    assert serialize_peak <= 2.2 * length, (serialize_peak, length)
+    assert write_peak < serialize_peak / 2, (write_peak, serialize_peak)
