@@ -24,7 +24,9 @@ For every workload and end-to-end metric of BENCHMARK.json it writes, to
   ``no regression`` otherwise;
 - both commit SHAs, the Python version and ``nproc``.
 
-The script exits 1 when any workload's verdict is ``gate failed``.
+The script exits 1 when any workload's verdict is ``gate failed``, and 2,
+with one ``bench_compare: ...`` line and no run started, when a workload,
+the parent revision or ``--workdir`` is unusable.
 
 Usage:
     python3 scripts/bench_compare.py --label random_mix_exact_time \\
@@ -155,9 +157,18 @@ def main(argv=None) -> int:
     if unknown:
         print(f"bench_compare: unknown workload(s) {unknown}", file=sys.stderr)
         return 2
+    if args.workdir is not None and not os.path.isdir(args.workdir):
+        print(f"bench_compare: --workdir {args.workdir} is not a directory",
+              file=sys.stderr)
+        return 2
+    try:
+        parent_sha = git("rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"bench_compare: --parent {args.parent} names no commit",
+              file=sys.stderr)
+        return 2
     seconds = args.seconds or bench["run_seconds"]
     metrics = bench["end_to_end"]
-    parent_sha = git("rev-parse", args.parent)
     record = {
         "label": args.label,
         "parent_sha": parent_sha,

@@ -17,30 +17,42 @@ network delay legality, and the certification phase's computability,
 liveness and word budget.
 
 Every extractor and checker reads a ``TraceIndex``: advances per
-process, first decisions, sends grouped by sender, emitted messages and
-deliveries, gathered in a single pass over ``trace.events`` and cached
-on the trace (``index_of``). No other code here walks the event list.
-The run facts derived from the index (correct pids, epoch entries, view
-intervals, the sync reference time, the first stable epoch, t_s, t_d and
-the epoch entries of the synchronizer window) are computed once each, on
-first read, by a ``RunFacts`` cached on the index (``facts_of``). It is
-keyed on the config values the facts read (n, f, gst, delta, byzantine),
-not on the config object, which builders and tests mutate in place.
+process, first decisions, message records and deliveries, gathered in a
+single pass over ``trace.events`` and cached on the trace (``index_of``).
+No other code here walks the event list. The run facts derived from the
+index (correct pids, epoch entries, view intervals, the sync reference
+time, the first stable epoch, t_s, t_d and the epoch entries of the
+synchronizer window) are computed once each, on first read, by a
+``RunFacts`` cached on the index (``facts_of``). It is keyed on the config
+values the facts read (n, f, gst, delta, byzantine), not on the config
+object, which builders and tests mutate in place.
 
-Exact predicates are decided once per distinct input and the verdict is
-replayed to every event sharing it: the n copies of a broadcast share one
-send-time object, one delivery-time object and one payload. Delay
-legality is kept per (send time, delivery time) pair, window membership
-per send time, and signature or certificate verification per payload, QC
-or certificate. These memos are keyed by ``id()`` and live only for one
-checker call, while the trace holds every keyed object, so an id cannot
-be reused under them; an equal but distinct object just misses the memo.
-Every event still gets its own violation line.
+A message record stands for the copies of one send call: a broadcast's n
+send events share one sender, kind, payload object, time object and word
+count, and carry consecutive seqs, so the index keeps them as one
+``(first event, copies)`` pair. Every checker that walks sends reads the
+records and weights them by ``copies``; where it reports one line per
+copy, it repeats the line ``copies`` times in the same place, so the
+violation lists are those of a copy-by-copy walk, line for line. Only
+the receiver and the seq tell the copies apart: no checker reads the
+receiver, and the delay check maps each seq of a record back to it.
+
+Exact predicates are decided once per shared input and the verdict is
+replayed to every record or delivery sharing it. Window membership is
+decided again only when the send-time object changes, and delay legality
+only when the (send time, delivery time) object pair differs from the
+previous delivery's: the deliveries of a broadcast come one after another.
+Signature and certificate verification is kept per payload, QC or
+certificate in memos keyed by ``id()``; they live only for one checker
+call, while the trace holds every keyed object, so an id cannot be reused
+under them; an equal but distinct object just misses the memo.
 
 Bounds are checked with exact rational arithmetic. The delay check, which
-sees every delivery, decides late or early from integer cross-products of
-the send time, delivery time, GST and delta (numerators and positive
-denominators), with no float and no ``Fraction`` temporaries. A few
+sees every delivery, finds its send in a list indexed by seq and decides
+late or early from integer cross-products of the send time, delivery
+time, GST and delta (numerators and positive denominators), with no float
+and no ``Fraction`` temporaries; a delivery that names no send, or names
+one from another sender, is reported as fabricated. A few
 properties are promises about infinite executions; their missing-event
 forms are applied only when the (finite) trace demonstrably ran long
 enough to owe the event.
@@ -70,36 +82,59 @@ CERT_MESSAGE_TYPES = (DiscloseMsg, AllowAnyMsg, CertificateMsg)
 # Trace index and run facts
 # --------------------------------------------------------------------------
 
+# a payload no event carries: it ends the open message record
+_NO_RECORD = object()
+
+
 class TraceIndex:
     """The events every extractor and checker needs, grouped in one pass.
 
-    ``sends`` holds correct processes' sends (kind ``send``), ``emitted``
-    adds Byzantine emissions (kind ``byz``); both keep trace order.
+    ``messages`` holds one ``(first event, copies)`` record per run of
+    ``send``/``byz`` events with one process, kind, payload object, time
+    object and word count, consecutive seqs and no other event between
+    them: the copies of one send call. An event without a seq is a record
+    of its own. ``sends`` keeps the records of correct processes (kind
+    ``send``); both lists keep trace order, and their records are shared.
     """
 
     def __init__(self, trace: Trace):
         self.size = len(trace.events)
         self.advances: dict[int, list[tuple[Fraction, int]]] = {}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
-        self.sends: list[TraceEvent] = []
-        self.sends_by: dict[int, list[TraceEvent]] = {}
-        self.emitted: list[TraceEvent] = []
+        self.messages: list[tuple[TraceEvent, int]] = []
         self.delivers: list[TraceEvent] = []
         self.facts: Optional[RunFacts] = None
+        messages = self.messages
+        first, copies, payload, nxt = None, 0, _NO_RECORD, None
         for ev in trace.events:
             kind = ev.kind
-            if kind == "send":
-                self.sends.append(ev)
-                self.sends_by.setdefault(ev.process, []).append(ev)
-                self.emitted.append(ev)
-            elif kind == "deliver":
+            if kind == "deliver":
+                payload = _NO_RECORD
                 self.delivers.append(ev)
-            elif kind == "byz":
-                self.emitted.append(ev)
-            elif kind == "advance":
-                self.advances.setdefault(ev.process, []).append((ev.time, ev.payload))
-            elif kind == "decide":
-                self.decisions.setdefault(ev.process, (ev.time, ev.payload))
+            elif kind == "send" or kind == "byz":
+                # payload first: most events that do not extend the open
+                # record fail this one comparison
+                if (ev.payload is payload and ev.seq == nxt and ev.time is first.time
+                        and ev.process == first.process and kind == first.kind
+                        and ev.words == first.words):
+                    copies += 1
+                    nxt += 1
+                    continue
+                if first is not None:
+                    messages.append((first, copies))
+                first, copies, payload = ev, 1, ev.payload
+                # a missing seq never extends a record: _NO_RECORD equals no seq
+                nxt = _NO_RECORD if ev.seq is None else ev.seq + 1
+            else:
+                payload = _NO_RECORD
+                if kind == "advance":
+                    self.advances.setdefault(ev.process, []).append((ev.time, ev.payload))
+                elif kind == "decide":
+                    self.decisions.setdefault(ev.process, (ev.time, ev.payload))
+        if first is not None:
+            messages.append((first, copies))
+        self.sends: list[tuple[TraceEvent, int]] = [
+            record for record in messages if record[0].kind == "send"]
         self.end_time = trace.events[-1].time if trace.events else Fraction(0)
 
 
@@ -233,13 +268,13 @@ def _window_words(trace: Trace, lo: Fraction, hi: Optional[Fraction],
     total = 0
     last = None
     inside = False
-    for ev in index_of(trace).sends:
+    for ev, copies in index_of(trace).sends:
         t = ev.time
         if t is not last:
             last = t
             inside = t >= lo and (hi is None or t <= hi)
         if inside and (types is None or isinstance(ev.payload, types)):
-            total += ev.words
+            total += ev.words * copies
     return total
 
 
@@ -328,11 +363,11 @@ def check_quiet_period(trace, cfg, crypto):
     if e_final is None:
         return out
     bound = t_ef + cfg.epoch_duration
-    for ev in index_of(trace).sends:
+    for ev, copies in index_of(trace).sends:
         if (isinstance(ev.payload, EpochCompletedMsg)
                 and ev.payload.epoch >= e_final and ev.time < bound):
-            out.append(f"quiet_period: P{ev.process} sent EPOCH-COMPLETED for "
-                       f"{ev.payload.epoch} at {ev.time} < {bound}")
+            out += [f"quiet_period: P{ev.process} sent EPOCH-COMPLETED for "
+                    f"{ev.payload.epoch} at {ev.time} < {bound}"] * copies
     return out
 
 
@@ -429,7 +464,8 @@ def check_conflicting_qcs(trace, cfg, crypto):
     out = []
     reported = set()
     verified: dict[int, bool] = {}   # id(qc) -> verdict; the trace keeps each qc
-    for ev in index_of(trace).emitted:
+    # the copies of a record carry one qc: only the first can add a line
+    for ev, _ in index_of(trace).messages:
         qc = ev.payload.qc if isinstance(ev.payload, CoreMessage) else None
         if qc is None:
             continue
@@ -481,10 +517,10 @@ def check_unforgeable_sigs(trace, cfg, crypto):
         return []
 
     # each distinct payload (and tsig) is checked once, keyed by id: the
-    # trace keeps them alive; every send still reports its own lines
+    # trace keeps them alive; every copy still reports its own lines
     per_payload: dict[int, list[str]] = {}
     per_tsig: dict[int, list[str]] = {}
-    for ev in index_of(trace).sends:
+    for ev, copies in index_of(trace).sends:
         lines = per_payload.get(id(ev.payload))
         if lines is None:
             lines = per_payload[id(ev.payload)] = []
@@ -493,17 +529,18 @@ def check_unforgeable_sigs(trace, cfg, crypto):
                 if found is None:
                     found = per_tsig[id(tsig)] = forged(tsig)
                 lines.extend(found)
-        out.extend(lines)
+        if lines:
+            out += lines * copies
     return out
 
 
 def check_core_word_budget(trace, cfg, crypto):
     out = []
     per: dict[tuple[int, int], int] = {}
-    for ev in index_of(trace).sends:
+    for ev, copies in index_of(trace).sends:
         if isinstance(ev.payload, CoreMessage):
             key = (ev.process, ev.payload.view)
-            per[key] = per.get(key, 0) + 1
+            per[key] = per.get(key, 0) + copies
     for (pid, view), cnt in sorted(per.items()):
         bound = 4 * cfg.n + 4 if leader(view, cfg.n) == pid else 4
         if cnt > bound:
@@ -514,33 +551,46 @@ def check_core_word_budget(trace, cfg, crypto):
 
 def check_message_words(trace, cfg, crypto):
     out = []
-    for ev in index_of(trace).sends:
+    for ev, copies in index_of(trace).sends:
         if ev.words < 1:
-            out.append(f"message_words: P{ev.process} send at {ev.time} "
-                       f"carries {ev.words} words")
+            out += [f"message_words: P{ev.process} send at {ev.time} "
+                    f"carries {ev.words} words"] * copies
     return out
 
 
 def check_delay_bounds(trace, cfg, crypto):
     out = []
     index = index_of(trace)
-    sends = {ev.seq: ev for ev in index.emitted if ev.seq is not None}
+    # by_seq[seq - low] is the first event of the record that sent seq,
+    # filled one slice per record; a later record wins a reused seq
+    numbered = [(ev.seq, ev, copies) for ev, copies in index.messages
+                if ev.seq is not None]
+    low = min([seq for seq, _, _ in numbered], default=0)
+    high = max([seq + copies for seq, _, copies in numbered], default=0)
+    by_seq: list[Optional[TraceEvent]] = [None] * (high - low)
+    for seq, ev, copies in numbered:
+        by_seq[seq - low:seq - low + copies] = [ev] * copies
     gn, gd = cfg.gst.numerator, cfg.gst.denominator
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
-    # (id(send time), id(delivery time)) -> "late", "early" or None; the
-    # copies of a broadcast share both time objects, and the trace keeps
-    # every one of them alive while this runs
-    verdicts: dict[tuple[int, int], Optional[str]] = {}
+    # verdict: "late", "early" or None (legal) for the pair (sent_time,
+    # delivered); consecutive deliveries of one broadcast share both time
+    # objects, so it is decided again only when one of them changes
+    sent_time = delivered = verdict = None
     for ev in index.delivers:
-        sent = sends.get(ev.seq)
+        seq = ev.seq
+        sent = by_seq[seq - low] if seq is not None and low <= seq < high else None
         if sent is None:
+            out.append(f"delay_bounds: envelope #{seq} delivered but never sent")
             continue
-        key = (id(sent.time), id(ev.time))
-        if key in verdicts:
-            verdict = verdicts[key]
-        else:
-            sn, sd = sent.time.numerator, sent.time.denominator
-            tn, td = ev.time.numerator, ev.time.denominator
+        if ev.sender != sent.process:
+            out.append(f"delay_bounds: envelope #{seq} delivered from "
+                       f"P{ev.sender} but sent by P{sent.process}")
+            continue
+        st, dt = sent.time, ev.time
+        if st is not sent_time or dt is not delivered:
+            sent_time, delivered = st, dt
+            sn, sd = st.numerator, st.denominator
+            tn, td = dt.numerator, dt.denominator
             # the delay is delay_num / (sd * td), and sd * td > 0
             delay_num = tn * sd - sn * td
             post_gst = sn * gd >= gn * sd
@@ -550,12 +600,10 @@ def check_delay_bounds(trace, cfg, crypto):
                 verdict = "early"
             else:
                 verdict = None
-            verdicts[key] = verdict
         if verdict == "late":
-            out.append(f"delay_bounds: envelope #{ev.seq} sent {sent.time} "
-                       f"delivered {ev.time}")
+            out.append(f"delay_bounds: envelope #{seq} sent {st} delivered {dt}")
         elif verdict == "early":
-            out.append(f"delay_bounds: envelope #{ev.seq} delivered before sent")
+            out.append(f"delay_bounds: envelope #{seq} delivered before sent")
     return out
 
 
@@ -589,7 +637,7 @@ def check_cert_computability(trace, cfg, crypto):
     # keyed by id(payload), and by (id(cert), value) in _verified_cert, so
     # each certificate is verified once; the trace keeps both alive
     verdicts: dict = {}
-    for ev in index_of(trace).emitted:
+    for ev, copies in index_of(trace).messages:
         key = id(ev.payload)
         if key not in verdicts:
             verdicts[key] = _verified_cert(ev.payload, crypto, verdicts)
@@ -597,35 +645,38 @@ def check_cert_computability(trace, cfg, crypto):
             continue
         value, cert = verdicts[key]
         if value is None:
-            out.append(f"cert_computability: any-value certificate "
-                       f"{cert.summary()} appeared despite unanimity on {v}")
+            out += [f"cert_computability: any-value certificate "
+                    f"{cert.summary()} appeared despite unanimity on {v}"] * copies
         elif value != v:
-            out.append(f"cert_computability: certificate for {value} appeared "
-                       f"despite unanimity on {v}")
+            out += [f"cert_computability: certificate for {value} appeared "
+                    f"despite unanimity on {v}"] * copies
     return out
 
 
 def check_cert_liveness(trace, cfg, crypto):
     out = []
     deadline = cfg.gst + 2 * cfg.delta
-    sends_by = index_of(trace).sends_by
+    exits: dict[int, Fraction] = {}   # pid -> time of its first CERTIFICATE send
+    for ev, _ in index_of(trace).sends:
+        if isinstance(ev.payload, CertificateMsg):
+            exits.setdefault(ev.process, ev.time)
     for pid in facts_of(trace, cfg).correct:
-        exits = [ev.time for ev in sends_by.get(pid, ())
-                 if isinstance(ev.payload, CertificateMsg)]
-        if not exits:
+        if pid not in exits:
             out.append(f"cert_liveness: P{pid} never obtained a certificate")
-        elif exits[0] > deadline:
-            out.append(f"cert_liveness: P{pid} exited certification at {exits[0]} "
+        elif exits[pid] > deadline:
+            out.append(f"cert_liveness: P{pid} exited certification at {exits[pid]} "
                        f"> {deadline}")
     return out
 
 
 def check_cert_word_budget(trace, cfg, crypto):
     out = []
-    sends_by = index_of(trace).sends_by
+    sent: dict[int, int] = {}   # pid -> certification messages sent
+    for ev, copies in index_of(trace).sends:
+        if isinstance(ev.payload, CERT_MESSAGE_TYPES):
+            sent[ev.process] = sent.get(ev.process, 0) + copies
     for pid in facts_of(trace, cfg).correct:
-        cnt = sum(1 for ev in sends_by.get(pid, ())
-                  if isinstance(ev.payload, CERT_MESSAGE_TYPES))
+        cnt = sent.get(pid, 0)
         if cnt > 3 * cfg.n:
             out.append(f"cert_word_budget: P{pid} sent {cnt} certification "
                        f"messages (> {3 * cfg.n})")

@@ -1,8 +1,10 @@
 """Hand-mutated traces, one per invariant checker.
 
 Each entry builds a trace carrying a specific defect and names the checker
-that must flag it; the acceptance suite and the metrics tests both iterate
-this registry so no checker can pass vacuously.
+that must flag it: the part of its name before the first dot
+(``checker_of``), so one checker can have several planted defects. The
+acceptance suite and the metrics tests both iterate this registry so no
+checker can pass vacuously.
 """
 
 from fractions import Fraction
@@ -171,6 +173,22 @@ def plant_delay_bounds(cfg, crypto, base):
     return t
 
 
+def plant_unpaired_delivery(cfg, crypto, base):
+    t = Trace()
+    t.append(TraceEvent(cfg.gst + 1, 2, "deliver", "m", 0, sender=1, receiver=2,
+                        seq=77))   # no event sent #77
+    return t
+
+
+def plant_wrong_sender(cfg, crypto, base):
+    t = Trace()
+    t.append(TraceEvent(cfg.gst + 1, 1, "send", "m", 1, sender=1, receiver=2,
+                        seq=77))
+    t.append(TraceEvent(cfg.gst + 2, 2, "deliver", "m", 0, sender=3, receiver=2,
+                        seq=77))   # legal delay, but P1 sent #77
+    return t
+
+
 def plant_cert_computability(cfg, crypto, base):
     t = Trace()
     tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
@@ -211,7 +229,14 @@ PLANTED = {
     "core_word_budget": plant_core_word_budget,
     "message_words": plant_message_words,
     "delay_bounds": plant_delay_bounds,
+    "delay_bounds.unpaired": plant_unpaired_delivery,
+    "delay_bounds.wrong_sender": plant_wrong_sender,
     "cert_computability": plant_cert_computability,
     "cert_liveness": plant_cert_liveness,
     "cert_word_budget": plant_cert_word_budget,
 }
+
+
+def checker_of(name: str) -> str:
+    """The checker a planted defect is for: its name up to the first dot."""
+    return name.partition(".")[0]

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,23 @@ def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch,
         assert verdicts == {"events_per_s": "gain", "run_s.p50": "gain",
                             "peak_rss_mb": "no regression",
                             "setup_s": "no regression"}
+
+
+@pytest.mark.parametrize("flag", ["--workdir", "--parent"])
+def test_unusable_workdir_or_parent_exits_2_without_a_traceback(tmp_path, monkeypatch,
+                                                                capsys, flag):
+    def git(*args):
+        if args[0] == "rev-parse":   # as git fails on a revision it cannot resolve
+            raise subprocess.CalledProcessError(1, ["git", *args])
+        return ""
+
+    def run_bench(*args):
+        raise AssertionError("no run starts on bad input")
+
+    monkeypatch.setattr(bench_compare, "git", git)
+    monkeypatch.setattr(bench_compare, "run_bench", run_bench)
+    bad = {"--workdir": str(tmp_path / "missing"), "--parent": "no-such-rev"}[flag]
+    argv = ["--label", "t", "--workload", "random_mix", "--first-seed", "3", flag, bad]
+    assert bench_compare.main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("bench_compare: ") and bad in err and len(err.splitlines()) == 1

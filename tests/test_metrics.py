@@ -10,22 +10,25 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from squadsim import (build_report, build_simulation, happy, run_scenario,
-                      worst_case)
+from squadsim import (build_report, build_simulation, happy, randomized,
+                      run_scenario, worst_case)
 from squadsim.baselines import WishMsg
-from squadsim.consensus import Certificate, CertificateMsg, value_message
+from squadsim.consensus import (Certificate, CertificateMsg, DiscloseMsg,
+                                value_message)
 from squadsim.crypto import CryptoSystem, ThresholdSignature, digest_of
-from squadsim.metrics import (ALL_CHECKS, RunFacts, check_cert_computability,
+from squadsim.metrics import (ALL_CHECKS, CERT_MESSAGE_TYPES, SYNC_MESSAGE_TYPES,
+                              RunFacts, _window_words, check_cert_computability,
                               check_conflicting_qcs, check_delay_bounds,
                               check_epoch_budget, check_invariants,
-                              check_unforgeable_sigs,
-                              count_words, facts_of, sync_window_words)
-from squadsim.raresync import EnterEpochMsg, epoch_message
+                              check_message_words, check_quiet_period,
+                              check_unforgeable_sigs, count_words, facts_of,
+                              index_of, sync_window_words)
+from squadsim.raresync import EnterEpochMsg, EpochCompletedMsg, epoch_message, leader
 from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
 from squadsim.trace import Trace, TraceEvent
 from tests.exact_times import exact_cases
-from tests.planted import PLANTED
+from tests.planted import PLANTED, checker_of
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +219,10 @@ def test_clean_runs_have_no_violations(happy_run, wc_run):
 def test_planted_defect_is_flagged(name, wc_run):
     cfg, crypto = wc_run.config, wc_run.simulation.crypto
     trace = PLANTED[name](cfg, crypto, wc_run.trace)
-    checker = ALL_CHECKS[name]
-    violations = checker(trace, cfg, crypto)
-    assert violations, f"{name} checker passed its planted defect"
-    assert all(name in v for v in violations)
+    check = checker_of(name)
+    violations = ALL_CHECKS[check](trace, cfg, crypto)
+    assert violations, f"{check} checker passed its planted defect {name}"
+    assert all(check in v for v in violations)
 
 
 # -- memoized checkers still report once per event ----------------------------
@@ -267,6 +270,23 @@ def test_delay_verdict_agrees_with_fraction_operators(case):
     else:
         expected = []
     assert check_delay_bounds(trace, cfg, None) == expected
+
+
+def test_fabricated_deliveries_are_reported():
+    cfg = SimpleNamespace(gst=Fraction(50), delta=Fraction(1))
+    trace = Trace()
+    sent = Fraction(60)
+    for seq in (3, 4):
+        trace.append(TraceEvent(sent, 1, "send", "m", 1, sender=1, receiver=2,
+                                seq=seq))
+    for seq, sender in ((3, 1), (4, 2), (5, 1), (None, 1), (2, 1)):
+        trace.append(TraceEvent(Fraction(61), 2, "deliver", "m", 0, sender=sender,
+                                receiver=2, seq=seq))
+    assert check_delay_bounds(trace, cfg, None) == [
+        "delay_bounds: envelope #4 delivered from P2 but sent by P1",
+        "delay_bounds: envelope #5 delivered but never sent",
+        "delay_bounds: envelope #None delivered but never sent",
+        "delay_bounds: envelope #2 delivered but never sent"]
 
 
 def test_forged_broadcast_is_reported_per_copy():
@@ -355,5 +375,214 @@ def test_cert_computability_verifies_each_certificate_once(monkeypatch):
     assert 0 < len(calls) <= 2 * len(certs)
 
 
+# -- message records give the per-copy answer ---------------------------------
+
+_CRYPTO = CryptoSystem(4, 1)
+
+
+def _qc(value):
+    message = vote_message(PHASE_PREPARE, value, 5)
+    return QuorumCertificate(PHASE_PREPARE, value, 5, _CRYPTO.combine(
+        [_CRYPTO.share_sign(p, message, "quorum") for p in (1, 2, 3)]))
+
+
+_EC_PSIG = _CRYPTO.share_sign(1, epoch_message(2), "quorum")
+_CERT8 = Certificate(8, _CRYPTO.combine([_CRYPTO.share_sign(p, value_message(8), "cert")
+                                         for p in (1, 2)]))
+_FORGED_QC = QuorumCertificate(PHASE_PREPARE, "x", 5, ThresholdSignature(
+    digest_of(vote_message(PHASE_PREPARE, "x", 5)), frozenset({1, 2, 3}), "quorum"))
+# what each send-walking checker reads, with two equal but distinct payloads
+_PAYLOADS = [
+    EpochCompletedMsg(2, _EC_PSIG), EpochCompletedMsg(2, _EC_PSIG),
+    EpochCompletedMsg(1, _EC_PSIG),
+    EnterEpochMsg(3, ThresholdSignature("(epoch,3)", frozenset({1, 2, 3}), "quorum")),
+    CoreMessage(PRECOMMIT, 5, qc=_qc("a")), CoreMessage(PRECOMMIT, 5, qc=_qc("b")),
+    CoreMessage(PRECOMMIT, 5, qc=_FORGED_QC), CoreMessage("PREPARE-VOTE", 1, value=1),
+    CertificateMsg(8, _CERT8), DiscloseMsg(7, _EC_PSIG), WishMsg(2), "other"]
+# around GST 50 with delta 1; the entries below put t_ef at 52
+_TIMES = [Fraction(40), Fraction(50), Fraction(101, 2), Fraction(51), Fraction(52),
+          Fraction(60), Fraction(80)]
+
+
+def _record_cfg():
+    cfg = happy(4, 0, "squad")
+    cfg.byzantine = frozenset({4})
+    cfg.proposals = {p: 5 for p in range(1, 5)}
+    return cfg
+
+
+def _at(i, shared):
+    """The i-th time: the shared object, or an equal but distinct one."""
+    return _TIMES[i] if shared else Fraction(_TIMES[i].numerator, _TIMES[i].denominator)
+
+
+_times = st.integers(0, len(_TIMES) - 1)
+_message_step = st.tuples(
+    st.just("message"), st.integers(0, len(_PAYLOADS) - 1), _times, st.booleans(),
+    st.integers(1, 4), st.sampled_from(["send", "byz"]), st.integers(0, 2),
+    st.sampled_from([1, 2, 4, 13]), st.sampled_from(["seq", "seq", "gap", "none"]),
+    st.sampled_from([None, None, "same", "words", "kind", "process"]))
+_deliver_step = st.tuples(st.just("deliver"), st.one_of(st.none(), st.integers(0, 40)),
+                          _times, st.booleans(), st.booleans())
+_steps = st.lists(st.one_of(_message_step, _deliver_step, st.just(("timer",))),
+                  min_size=8, max_size=40)
+
+
+def _record_trace(steps):
+    """Broadcasts and point-to-point sends, with deliveries (paired, from a
+    wrong sender, unpaired, without a seq) and timers in between."""
+    trace = Trace()
+    for pid in (1, 2, 3):
+        advance(trace, 10, pid, 1)
+        advance(trace, 52, pid, 3)
+    # one more than P1's certification budget (3n): a record of seven
+    # copies and six sends without a seq, so its line always shows the count;
+    # then P2 broadcasts a genuine QC, which a later one for "b" conflicts with
+    for receiver in range(1, 14):
+        trace.append(TraceEvent(_TIMES[0], 1, "send", None, 1, _PAYLOADS[9], 1,
+                                receiver, receiver if receiver <= 7 else None))
+    for receiver in range(1, 5):
+        trace.append(TraceEvent(_TIMES[0], 2, "send", None, 1, _PAYLOADS[4], 2,
+                                receiver, 7 + receiver))
+    seq = 11
+    delivers = []
+    last = None
+    for step in steps:
+        if step[0] == "message":
+            _, payload, at, shared, pid, kind, words, copies, numbering, like = step
+            call = (_at(at, shared), _PAYLOADS[payload], pid, kind, words)
+            if like and last is not None:
+                # the last call again on the next seqs, alike in all but at
+                # most one field: it may extend the last record only if "same"
+                t, payload, pid, kind, words = last
+                call = (t, payload, pid % 4 + 1 if like == "process" else pid,
+                        {"send": "byz", "byz": "send"}[kind] if like == "kind" else kind,
+                        (words + 1) % 3 if like == "words" else words)
+            last = t, payload, pid, kind, words = call   # one time object per call
+            seq += numbering == "gap"
+            for receiver in range(1, copies + 1):
+                seq += 1
+                trace.append(TraceEvent(t, pid, kind, None, words, payload, pid,
+                                        receiver, None if numbering == "none" else seq))
+        elif step[0] == "deliver":
+            _, target, at, shared, wrong = step
+            ev = TraceEvent(_at(at, shared), 2, "deliver", None, 0, None, None, 2, target)
+            trace.append(ev)
+            delivers.append((ev, wrong))
+        else:
+            trace.append(TraceEvent(_TIMES[0], 1, "timer", "view_timer:gen1", 0))
+    sent = {ev.seq: ev for ev in trace.events
+            if ev.kind in ("send", "byz") and ev.seq is not None}
+    for ev, wrong in delivers:
+        origin = sent.get(ev.seq)
+        ev.sender = 1 if origin is None else origin.process + wrong
+        ev.payload = None if origin is None else origin.payload
+    return trace
+
+
+def _per_copy(trace, cfg, crypto):
+    """Every send-walking check and both word windows, walked copy by copy
+    with Fraction operators: the answer the message records must give."""
+    emitted = [ev for ev in trace.events if ev.kind in ("send", "byz")]
+    sends = [ev for ev in emitted if ev.kind == "send"]
+    facts = facts_of(trace, cfg)
+    correct = facts.correct
+    rest = Trace([ev for ev in trace.events if ev.kind not in ("send", "byz")])
+
+    def alone(check):
+        # a check whose lines are per copy, run on each copy by itself
+        return [line for ev in emitted
+                for line in check(Trace(rest.events + [ev]), cfg, crypto)]
+
+    def window(lo, hi, types=object):
+        return sum(ev.words for ev in sends if lo <= ev.time
+                   and (hi is None or ev.time <= hi) and isinstance(ev.payload, types))
+
+    core = Counter((ev.process, ev.payload.view) for ev in sends
+                   if isinstance(ev.payload, CoreMessage))
+    cert = Counter(ev.process for ev in sends if isinstance(ev.payload, CERT_MESSAGE_TYPES))
+    exits = {}
+    for ev in sends:
+        if isinstance(ev.payload, CertificateMsg):
+            exits.setdefault(ev.process, ev.time)
+    deadline = cfg.gst + 2 * cfg.delta
+    seen, conflicts = {}, []
+    for ev in emitted:
+        qc = getattr(ev.payload, "qc", None)
+        if qc is None or not crypto.combined_verify(
+                vote_message(qc.phase, qc.value, qc.view), qc.sig):
+            continue
+        key = (qc.phase, qc.view)
+        if seen.setdefault(key, qc.value) != qc.value and not conflicts:
+            conflicts.append(f"conflicting_qcs: {qc.phase} QCs for view {qc.view} "
+                             f"carry values {seen[key]} and {qc.value}")
+    by_seq = {ev.seq: ev for ev in emitted if ev.seq is not None}
+    delays = []
+    for ev in trace.events:
+        if ev.kind != "deliver":
+            continue
+        origin = by_seq.get(ev.seq)
+        if origin is None:
+            delays.append(f"delay_bounds: envelope #{ev.seq} delivered but never sent")
+        elif ev.sender != origin.process:
+            delays.append(f"delay_bounds: envelope #{ev.seq} delivered from "
+                          f"P{ev.sender} but sent by P{origin.process}")
+        elif origin.time >= cfg.gst and not 0 < ev.time - origin.time <= cfg.delta:
+            delays.append(f"delay_bounds: envelope #{ev.seq} sent {origin.time} "
+                          f"delivered {ev.time}")
+        elif ev.time < origin.time:
+            delays.append(f"delay_bounds: envelope #{ev.seq} delivered before sent")
+    return {
+        "words": (window(cfg.gst, facts.t_d), window(cfg.gst, None, SYNC_MESSAGE_TYPES),
+                  window(_TIMES[2], _TIMES[5], SYNC_MESSAGE_TYPES)),
+        "quiet_period": alone(check_quiet_period),
+        "unforgeable_sigs": alone(check_unforgeable_sigs),
+        "message_words": alone(check_message_words),
+        "cert_computability": alone(check_cert_computability),
+        "core_word_budget": [
+            f"core_word_budget: P{pid} sent {cnt} view-core messages in view {view} "
+            f"(bound {4 * cfg.n + 4 if leader(view, cfg.n) == pid else 4})"
+            for (pid, view), cnt in sorted(core.items())
+            if cnt > (4 * cfg.n + 4 if leader(view, cfg.n) == pid else 4)],
+        "cert_word_budget": [
+            f"cert_word_budget: P{pid} sent {cert[pid]} certification messages "
+            f"(> {3 * cfg.n})" for pid in correct if cert[pid] > 3 * cfg.n],
+        "cert_liveness": [
+            f"cert_liveness: P{pid} never obtained a certificate" if pid not in exits
+            else f"cert_liveness: P{pid} exited certification at {exits[pid]} > {deadline}"
+            for pid in correct if pid not in exits or exits[pid] > deadline],
+        "conflicting_qcs": conflicts,
+        "delay_bounds": delays,
+    }
+
+
+@given(_steps)
+@settings(max_examples=150, deadline=None)
+def test_message_records_give_the_per_copy_answer(steps):
+    cfg, crypto = _record_cfg(), _CRYPTO
+    trace = _record_trace(steps)
+    expected = _per_copy(trace, cfg, crypto)
+    facts = facts_of(trace, cfg)
+    assert expected.pop("words") == (
+        count_words(trace, cfg.gst, facts.t_d), sync_window_words(trace, cfg, None),
+        _window_words(trace, _TIMES[2], _TIMES[5], SYNC_MESSAGE_TYPES))
+    assert {name: ALL_CHECKS[name](trace, cfg, crypto) for name in expected} == expected
+    index = index_of(trace)
+    assert sum(copies for _, copies in index.messages) == len(
+        [ev for ev in trace.events if ev.kind in ("send", "byz")])
+
+
+@pytest.mark.parametrize("cfg", [worst_case(13, 0, "squad"), worst_case(13, 0, "alltoall"),
+                                 *(randomized(4, seed) for seed in range(20))],
+                         ids=lambda cfg: f"{cfg.name}-{cfg.protocol}-{cfg.n}-s{cfg.seed}")
+def test_records_cover_every_copy_of_a_real_run(cfg):
+    trace = run_scenario(cfg).trace
+    index = index_of(trace)
+    emitted = [ev for ev in trace.events if ev.kind in ("send", "byz")]
+    assert sum(copies for _, copies in index.messages) == len(emitted)
+    # broadcasts are grouped: fewer records than copies
+    assert len(index.messages) < len(emitted)
+
+
 def test_planted_registry_covers_every_checker():
-    assert set(PLANTED) == set(ALL_CHECKS)
+    assert {checker_of(name) for name in PLANTED} == set(ALL_CHECKS)
