@@ -35,6 +35,8 @@ class WishMsg:
 
 
 class AllToAllSync:
+    MESSAGES = (WishMsg,)
+
     def __init__(self, f: int, view_duration: Fraction,
                  advance: Callable[[object, int], None]):
         self.f = f
@@ -51,16 +53,15 @@ class AllToAllSync:
     def on_timer(self, ctx) -> None:
         ctx.broadcast(WishMsg(self.view + 1))
 
-    def on_message(self, ctx, sender: int, msg) -> bool:
-        if not isinstance(msg, WishMsg):
-            return False
+    def on_message(self, ctx, sender: int, msg: WishMsg) -> None:
         previous = self._wishes.get(sender, 0)
         if msg.view > previous:
             self._wishes[sender] = msg.view
             if previous <= self.view < msg.view:
                 self._support += 1
-        self._catch_up(ctx)
-        return True
+                # support grows only here, so only here can it reach 2f+1
+                if self._support >= 2 * self.f + 1:
+                    self._catch_up(ctx)
 
     def _catch_up(self, ctx) -> None:
         while self._support >= 2 * self.f + 1:
@@ -71,6 +72,7 @@ class AllToAllSync:
 
 
 class DoublingSync:
+    MESSAGES = ()   # it never communicates
     BETA = Fraction(1)   # the first view's duration
 
     def __init__(self, advance: Callable[[object, int], None]):
@@ -87,6 +89,3 @@ class DoublingSync:
         self.view += 1
         ctx.measure("baseline_timer", self.current_duration)
         self._advance(ctx, self.view)
-
-    def on_message(self, ctx, sender: int, msg) -> bool:
-        return False

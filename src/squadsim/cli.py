@@ -147,6 +147,20 @@ def default_out_path(opts) -> Path:
     return out_dir / f"{opts['protocol']}_{opts['scenario']}.csv"
 
 
+def prepare_outputs(out_path: Path, trace_dir: Optional[Path]) -> None:
+    """Create the directories the sweep writes into. A path that cannot
+    take its output is a ConfigError before any run, not a traceback after
+    the sweep."""
+    if out_path.is_dir():
+        raise ConfigError(f"--out {out_path} is a directory")
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        if trace_dir:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create an output directory: {exc}")
+
+
 def run_one(cfg, trace_dir: Optional[Path]) -> tuple[Optional[str], bool]:
     """Run one configuration, print its status line and write its trace
     file. Returns its CSV row (None when the run raised) and whether it
@@ -175,17 +189,14 @@ def run_one(cfg, trace_dir: Optional[Path]) -> tuple[Optional[str], bool]:
 def main(argv=None) -> int:
     try:
         opts = resolve_options(argv)
+        out_path = Path(opts["out"]) if opts["out"] else default_out_path(opts)
+        trace_dir = Path(opts["trace_dir"]) if opts["trace_dir"] else None
+        prepare_outputs(out_path, trace_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:   # --help
         return 0 if exc.code in (0, None) else 2
-
-    out_path = Path(opts["out"]) if opts["out"] else default_out_path(opts)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    trace_dir = Path(opts["trace_dir"]) if opts["trace_dir"] else None
-    if trace_dir:
-        trace_dir.mkdir(parents=True, exist_ok=True)
 
     if opts["scenario"] == "custom-file":
         builder = functools.partial(custom_file, opts["scenario_fields"])

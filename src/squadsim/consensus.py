@@ -84,6 +84,8 @@ class CertificateMsg:
 class CertPhase:
     """Certification phase for one process; exits with (value-or-None, cert)."""
 
+    MESSAGES = (DiscloseMsg, AllowAnyMsg, CertificateMsg)
+
     def __init__(self, pid: int, f: int, proposal,
                  on_exit: Callable[[object, object, Certificate], None]):
         self.pid = pid
@@ -100,20 +102,15 @@ class CertPhase:
         psig = ctx.crypto.share_sign(self.pid, value_message(self.proposal), "cert")
         ctx.broadcast(DiscloseMsg(self.proposal, psig))
 
-    def on_message(self, ctx, sender: int, msg) -> bool:
-        if isinstance(msg, DiscloseMsg):
-            if not self.exited:
-                self._on_disclose(ctx, sender, msg)
-            return True
-        if isinstance(msg, AllowAnyMsg):
-            if not self.exited:
-                self._on_allow_any(ctx, sender, msg)
-            return True
-        if isinstance(msg, CertificateMsg):
-            if not self.exited:
-                self._on_certificate(ctx, msg)
-            return True
-        return False
+    def on_message(self, ctx, sender: int, msg) -> None:
+        if self.exited:
+            return
+        if type(msg) is DiscloseMsg:
+            self._on_disclose(ctx, sender, msg)
+        elif type(msg) is AllowAnyMsg:
+            self._on_allow_any(ctx, sender, msg)
+        else:
+            self._on_certificate(ctx, msg)
 
     def _exit(self, ctx, value, cert: Certificate) -> None:
         self.exited = True
@@ -156,8 +153,13 @@ class CertPhase:
 class ProtocolNode:
     """One correct process: optional certification, synchronizer, view core.
 
-    ``_on_advance`` logs each view entry. One hold buffer keeps, in arrival
-    order, deliveries before start, then consensus messages before cert exit."""
+    Each layer names the payload classes it owns in ``MESSAGES``;
+    ``_handlers`` maps the classes of the current phase to their owner's
+    ``on_message``: none before start, the cert phase's until it exits, then
+    the synchronizer's and the view core's. ``_on_advance`` logs each view
+    entry. One hold buffer keeps, in arrival order, what the current phase
+    does not handle until consensus starts; after that such a payload is
+    dropped."""
 
     def __init__(self, pid: int, n: int, f: int, crypto: CryptoSystem,
                  proposal, synchronizer: str, delta: Fraction,
@@ -181,9 +183,13 @@ class ProtocolNode:
             raise ValueError(f"unknown synchronizer {synchronizer!r}")
         self.cert_phase = (CertPhase(pid, f, proposal, self._start_consensus)
                            if certified else None)
-        self._started = False
         self._running = False
+        self._handlers: dict[type, Callable] = {}
         self._held: list = []   # (sender, payload) not yet handled
+
+    @staticmethod
+    def _handlers_of(*layers) -> dict[type, Callable]:
+        return {cls: layer.on_message for layer in layers for cls in layer.MESSAGES}
 
     def _on_advance(self, ctx, view: int) -> None:
         ctx.log_advance(view)
@@ -192,42 +198,31 @@ class ProtocolNode:
     def _start_consensus(self, ctx, value, cert) -> None:
         self.core.init(self.proposal if value is None else value, cert)
         self._running = True
+        self._handlers = self._handlers_of(self.sync, self.core)
         self.sync.start(ctx)
-        self._release(ctx, self._route)   # held ones passed any cert phase
+        self._release(ctx)
 
-    def _release(self, ctx, handle) -> None:
+    def _release(self, ctx) -> None:
         held, self._held = self._held, []
         for sender, payload in held:
-            handle(ctx, sender, payload)
+            self.on_deliver(ctx, sender, payload)
 
     # -- engine hooks --------------------------------------------------------
 
     def on_start(self, ctx) -> None:
-        self._started = True
         if self.cert_phase is None:
             self._start_consensus(ctx, None, None)
         else:
+            self._handlers = self._handlers_of(self.cert_phase)
             self.cert_phase.start(ctx)
-            self._release(ctx, self._deliver)
+            self._release(ctx)
 
     def on_deliver(self, ctx, sender: int, payload) -> None:
-        if not self._started:
+        handle = self._handlers.get(type(payload))
+        if handle is not None:
+            handle(ctx, sender, payload)
+        elif not self._running:
             self._held.append((sender, payload))
-            return
-        self._deliver(ctx, sender, payload)
-
-    def _deliver(self, ctx, sender: int, payload) -> None:
-        if self.cert_phase is not None and self.cert_phase.on_message(ctx, sender, payload):
-            return
-        if not self._running:
-            self._held.append((sender, payload))
-            return
-        self._route(ctx, sender, payload)
-
-    def _route(self, ctx, sender: int, payload) -> None:
-        if self.sync.on_message(ctx, sender, payload):
-            return
-        self.core.on_message(ctx, sender, payload)
 
     def on_timer(self, ctx, kind: str) -> None:
         if kind == "view_timer":

@@ -10,12 +10,17 @@ Everything is single-threaded and exact:
   fixed total order (time, event-class rank with delivery < timer-expiry,
   process id, sequence number), so a (config, seed) pair is a pure
   function to a trace. It is bucketed by time: a heap of the distinct
-  pending times, and per time a heap of (rank, pid, seq, ...) entries, so
-  the many ties (the n copies of a broadcast share a delivery time) are
-  decided by plain ints. The time heap holds ``(numerator / denominator,
+  pending times, and per time a plain list of (rank, pid, seq, ...)
+  entries in push order. When its time comes the run loop sorts a bucket
+  once, descending, if it holds more than one entry, and drains it with
+  ``list.pop()``, so the many ties (the n copies of a broadcast share a
+  delivery time) are decided by plain ints. A push into the bucket being
+  drained is inserted in order; only a zero delay reaches it, which is
+  legal only before GST. The time heap holds ``(numerator / denominator,
   time)``: int true division is correctly rounded, hence monotone, so a
   float may order two times only when the floats differ; two distinct
-  times with equal floats fall through to the exact ``Fraction`` compare;
+  times with equal floats (``inf`` for every time beyond the float range)
+  fall through to the exact ``Fraction`` compare;
 - timers measure durations on the owner's local clock, integrating its
   rate schedule. A timer is its generation number, ``timers[(pid, kind)]``:
   measure and cancel both bump it, each generation is queued at most once,
@@ -35,9 +40,11 @@ Everything is single-threaded and exact:
 - a message is one record, its send ``TraceEvent``: the policy reads it,
   the trace and the queue keep it, and the deliver event is built from it
   when it pops. A broadcast is one engine call that checks and refreshes
-  once, then gives each copy its own seq, event, policy call and legality
-  check, in receiver order. The trace is the only word tally: every copy
-  carries its words there.
+  once, then gives each copy its own seq, event and policy call, in
+  receiver order. A copy whose policy result is the very object the
+  previous copy got is legal and goes to the same bucket, so a run of
+  such copies costs one legality check and one ``_buckets`` lookup. The
+  trace is the only word tally: every copy carries its words there.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -55,7 +62,9 @@ finished run holds no reference cycle and is freed with its last reference.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Protocol
@@ -68,6 +77,9 @@ RANK_DELIVERY = 0
 RANK_TIMER = 1
 
 TIMER_KINDS = ("view_timer", "dissemination_timer", "baseline_timer")
+
+# an object no delay policy returns
+_NO_TIME = object()
 
 
 class AdversaryViolation(Exception):
@@ -183,6 +195,9 @@ class Simulation:
         # it exactly while its (numerator, denominator) key is in _buckets
         self._times: list[tuple[float, Fraction]] = []
         self._buckets: dict[tuple[int, int], list[tuple]] = {}  # (rank, pid, seq, tag, data)
+        # the bucket the run loop is draining (sorted), if it has not
+        # yet emptied; a retired bucket is never found in _buckets again
+        self._draining: Optional[list[tuple]] = None
         self._seq = 0
 
         # delivery legality for the instant ``_instant`` (see _send)
@@ -225,16 +240,26 @@ class Simulation:
         self._enqueue(time, (time.numerator, time.denominator),
                       (rank, pid, self._seq, tag, data))
 
-    def _enqueue(self, time: Fraction, key: tuple[int, int], entry: tuple) -> None:
+    def _enqueue(self, time: Fraction, key: tuple[int, int], entry: tuple) -> list:
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = [entry]
+            bucket = self._buckets[key] = [entry]
             # int true division is correctly rounded, hence monotone: the
             # float orders two times whenever the floats differ, and equal
-            # floats fall through to the exact compare of the times
-            heapq.heappush(self._times, (key[0] / key[1], time))
+            # floats (inf for every time beyond the float range) fall
+            # through to the exact compare of the times
+            try:
+                approx = key[0] / key[1]
+            except OverflowError:
+                approx = math.inf
+            heapq.heappush(self._times, (approx, time))
+        elif bucket is self._draining:
+            # it is sorted in descending order; seqs are unique, so the
+            # negated (rank, pid, seq) orders every entry
+            bisect.insort(bucket, entry, key=lambda e: (-e[0], -e[1], -e[2]))
         else:
-            heapq.heappush(bucket, entry)
+            bucket.append(entry)
+        return bucket
 
     def _send(self, sender: int, receivers, payload, words: int) -> None:
         # one send event per copy, in receiver order (see the module docstring)
@@ -255,14 +280,22 @@ class Simulation:
         kind = "byz" if sender in self.byzantine else "send"
         policy, legal = self.delay_policy.deliver_at, self._legal
         append, enqueue = self.trace.events.append, self._enqueue
-        post_gst = self._post_gst
+        post_gst, draining = self._post_gst, self._draining
         nn, nd, ln, ld = self._bounds
+        # the policy's last result while its bucket takes plain appends: a
+        # copy given the same object again is legal and goes to that bucket
+        last, bucket = _NO_TIME, None
         for receiver in receivers:
             self._seq = seq = self._seq + 1
             # detail None: TraceEvent.line renders it from the payload
             ev = TraceEvent(now, sender, kind, None, words, payload, sender,
                             receiver, seq)
             deliver_at = policy(ev, self)
+            if deliver_at is last:
+                append(ev)
+                bucket.append((RANK_DELIVERY, receiver, seq, "deliver", ev))
+                continue
+            last = deliver_at
             if type(deliver_at) is not Fraction:
                 deliver_at = Fraction(deliver_at)
             key = dn, dd = deliver_at.numerator, deliver_at.denominator
@@ -277,7 +310,9 @@ class Simulation:
                     raise AdversaryViolation("delivery before send")
                 legal.add(key)
             append(ev)
-            enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
+            bucket = enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
+            if bucket is draining:
+                last = _NO_TIME
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         generation = self.timers[(pid, kind)] = self.timers[(pid, kind)] + 1
@@ -334,8 +369,13 @@ class Simulation:
                     "event queue went backwards"
                 self.now = time
                 bucket = buckets[key]
+                if len(bucket) > 1:
+                    # sorted once, in descending order, and drained from the
+                    # end; a push into it while it drains keeps it sorted
+                    bucket.sort(reverse=True)
+                    self._draining = bucket
                 while True:
-                    _, pid, _, tag, data = heapq.heappop(bucket)
+                    _, pid, _, tag, data = bucket.pop()
                     if not bucket:
                         # retire the time now: a handler pushing at this same
                         # time then opens a fresh bucket for it

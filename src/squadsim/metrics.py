@@ -61,21 +61,23 @@ enough to owe the event.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .consensus import ANY_VALUE_TAG, Certificate, CertificateMsg, AllowAnyMsg, \
-    DiscloseMsg, value_message
+from .consensus import ANY_VALUE_TAG, CertPhase, Certificate, CertificateMsg, \
+    value_message
 from .crypto import ThresholdSignature
-from .raresync import EnterEpochMsg, EpochCompletedMsg, leader
-from .baselines import WishMsg
+from .raresync import EnterEpochMsg, EpochCompletedMsg, RareSync, leader
+from .baselines import AllToAllSync
 from .trace import Trace, TraceEvent
 from .viewcore import CoreMessage, QuorumCertificate, vote_message
 
-SYNC_MESSAGE_TYPES = (EpochCompletedMsg, EnterEpochMsg, WishMsg)
-CERT_MESSAGE_TYPES = (DiscloseMsg, AllowAnyMsg, CertificateMsg)
+# the payload classes each layer owns, as its node routes them
+SYNC_MESSAGE_TYPES = RareSync.MESSAGES + AllToAllSync.MESSAGES
+CERT_MESSAGE_TYPES = CertPhase.MESSAGES
 
 
 # --------------------------------------------------------------------------
@@ -264,15 +266,19 @@ def _window_words(trace: Trace, lo: Fraction, hi: Optional[Fraction],
                   types: Optional[tuple] = None) -> int:
     """Words of correct sends in [lo, hi] (hi None: unbounded), optionally
     only of payloads of ``types``. Sends of one instant share their time
-    object, so membership is decided again only when that object changes."""
+    object, so membership is decided again only when that object changes,
+    by integer cross-products (denominators are positive)."""
     total = 0
     last = None
     inside = False
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = (None, None) if hi is None else (hi.numerator, hi.denominator)
     for ev, copies in index_of(trace).sends:
         t = ev.time
         if t is not last:
             last = t
-            inside = t >= lo and (hi is None or t <= hi)
+            tn, td = t.numerator, t.denominator
+            inside = tn * ld >= ln * td and (hn is None or tn * hd <= hn * td)
         if inside and (types is None or isinstance(ev.payload, types)):
             total += ev.words * copies
     return total
@@ -344,13 +350,20 @@ def check_view_bounds(trace, cfg, crypto):
 def check_epoch_entry_quorum(trace, cfg, crypto):
     out = []
     entries = facts_of(trace, cfg).entries
+    # epoch -> the earliest entry time of each correct process that entered
+    # it, sorted: the supporters of an entry at t are those entered by t
+    firsts: dict[int, dict[int, Fraction]] = {}
+    for pid, mine in entries.items():
+        for t, e in mine:
+            earliest = firsts.setdefault(e, {})
+            if pid not in earliest or t < earliest[pid]:
+                earliest[pid] = t
+    by_epoch = {e: sorted(times.values()) for e, times in firsts.items()}
     for pid, mine in entries.items():
         for t, e in mine:
             if e <= 1:
                 continue
-            supporters = sum(
-                1 for theirs in entries.values()
-                if any(eq == e - 1 and tq <= t for tq, eq in theirs))
+            supporters = bisect_right(by_epoch.get(e - 1, ()), t)
             if supporters < cfg.f + 1:
                 out.append(f"epoch_entry_quorum: P{pid} entered epoch {e} at {t} "
                            f"with only {supporters} correct entries to {e - 1}")

@@ -61,6 +61,8 @@ class RareSync:
     and the view core reacts inside the same simulated instant.
     """
 
+    MESSAGES = (EpochCompletedMsg, EnterEpochMsg)
+
     def __init__(self, pid: int, f: int, delta: Fraction,
                  view_duration: Fraction, advance: Callable[[object, int], None]):
         self.pid = pid
@@ -108,14 +110,11 @@ class RareSync:
         ctx.measure("view_timer", self.view_duration)
         self._enter_current_view(ctx, first_of_epoch=True)
 
-    def on_message(self, ctx, sender: int, msg) -> bool:
-        if isinstance(msg, EpochCompletedMsg):
+    def on_message(self, ctx, sender: int, msg) -> None:
+        if type(msg) is EpochCompletedMsg:
             self._on_epoch_completed(ctx, sender, msg)
-            return True
-        if isinstance(msg, EnterEpochMsg):
+        else:
             self._on_enter_epoch(ctx, msg)
-            return True
-        return False
 
     def _on_epoch_completed(self, ctx, sender: int, msg: EpochCompletedMsg) -> None:
         if not ctx.crypto.share_verify(sender, epoch_message(msg.epoch), msg.psig):

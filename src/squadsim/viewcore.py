@@ -99,6 +99,8 @@ class _ViewState:
 
 
 class ViewCore:
+    MESSAGES = (CoreMessage,)
+
     def __init__(self, pid: int, n: int, f: int, crypto,
                  on_decide: Callable[[object, object], None],
                  cert_validator: Optional[Callable[[object, object], bool]] = None):
@@ -142,14 +144,11 @@ class ViewCore:
         for old in [v for v in self._future if v < view]:
             del self._future[old]
 
-    def on_message(self, ctx, sender: int, msg) -> bool:
-        if not isinstance(msg, CoreMessage):
-            return False
+    def on_message(self, ctx, sender: int, msg: CoreMessage) -> None:
         if self.current_view is None or msg.view > self.current_view:
             self._future.setdefault(msg.view, []).append((sender, msg))
         elif msg.view == self.current_view:
             self._dispatch(ctx, sender, msg)
-        return True
 
     # -- handlers (all for the current view) --------------------------------
 

@@ -320,3 +320,35 @@ def test_handler_exception_is_a_reported_protocol_error(tmp_path, monkeypatch, c
     assert "raised ThresholdTooSmall: planted while handling" in line
     assert "Traceback" not in printed.out + printed.err
     assert out.read_text().splitlines() == [CSV_HEADER]
+
+
+@pytest.mark.parametrize("out, trace_dir", [
+    pytest.param("results.csv", "file", id="trace-dir-is-a-file"),
+    pytest.param("results.csv", "file/traces", id="trace-dir-under-a-file"),
+    pytest.param("file/results.csv", None, id="out-parent-is-a-file"),
+    pytest.param("dir", None, id="out-is-a-directory"),
+])
+def test_unusable_output_path_is_config_error(tmp_path, capsys, out, trace_dir):
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "dir").mkdir()
+    argv = ["--n", "4", "--seeds", "0", "--out", str(tmp_path / out)]
+    if trace_dir is not None:
+        argv += ["--trace-dir", str(tmp_path / trace_dir)]
+    assert main(argv) == 2
+    printed = capsys.readouterr()
+    assert "config error" in printed.err
+    assert "Traceback" not in printed.out + printed.err
+    assert printed.out == ""   # refused before any run
+    assert (tmp_path / "file").read_text() == "not a directory\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--gst", "1e400"], ["--delta", "1e400"]],
+                         ids=["delta-1", "gst-beyond-float-range",
+                              "delta-beyond-float-range"])
+def test_times_beyond_the_float_range_run_exactly(tmp_path, capsys, flags):
+    code, out = run_cli(tmp_path, "--n", "4", "--seeds", "0", *flags)
+    printed = capsys.readouterr()
+    assert code == 0, printed.out + printed.err
+    assert printed.out.startswith("[ok] squad n=4 seed=0 scenario=happy words=76 ")
+    assert len(out.read_text().splitlines()) == 2

@@ -1,11 +1,14 @@
 """Certification phase and the certified consensus composition."""
 
 import itertools
+from fractions import Fraction
 
+from squadsim.baselines import WishMsg
 from squadsim.consensus import (ANY_VALUE_TAG, AllowAnyMsg, CertPhase,
                                 Certificate, CertificateMsg, DiscloseMsg,
-                                value_message, verify_certificate)
+                                ProtocolNode, value_message, verify_certificate)
 from squadsim.crypto import ThresholdSignature
+from squadsim.viewcore import VIEW_CHANGE, CoreMessage
 from tests.conftest import FakeContext
 
 
@@ -172,3 +175,27 @@ def test_cert_attacker_cannot_forge_under_unanimity():
     assert res.report.decided
     assert {v for _, v in res.simulation.decisions.values()} == {7}
     assert check_cert_computability(res.trace, cfg, res.simulation.crypto) == []
+
+
+def test_node_holds_routes_and_drops_by_payload_class(crypto4, ctx4):
+    node = ProtocolNode(1, 4, 1, crypto4, 7, "alltoall", Fraction(1), Fraction(10),
+                        certified=True)
+    seen = []
+    node.sync.on_message = lambda ctx, sender, msg: seen.append(("sync", sender, msg))
+    node.core.on_message = lambda ctx, sender, msg: seen.append(("core", sender, msg))
+    wish, core = WishMsg(2), CoreMessage(VIEW_CHANGE, 1)
+    node.on_deliver(ctx4, 3, wish)                        # before start: held
+    node.on_deliver(ctx4, 1, disclose(crypto4, 1, 7))     # held too
+    node.on_start(ctx4)               # the held DISCLOSE reaches the cert phase
+    node.on_deliver(ctx4, 4, "junk")  # no layer owns it: held until consensus
+    node.on_deliver(ctx4, 2, core)    # consensus payload: held until cert exit
+    assert seen == [] and node.cert_phase._disclose_senders == {1}
+    node.on_deliver(ctx4, 2, disclose(crypto4, 2, 7))     # f+1 matching: exit
+    assert node.cert_phase.exited
+    # released in arrival order to their owners; the unowned one is dropped
+    assert seen == [("sync", 3, wish), ("core", 2, core)]
+    node.on_deliver(ctx4, 3, "junk")
+    node.on_deliver(ctx4, 3, disclose(crypto4, 3, 7))     # cert phase is over
+    node.on_deliver(ctx4, 4, wish)
+    assert seen == [("sync", 3, wish), ("core", 2, core), ("sync", 4, wish)]
+    assert node._held == []

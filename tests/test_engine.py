@@ -602,6 +602,124 @@ def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
     assert not sim._times and not sim._buckets
 
 
+
+class PlannedDelivery:
+    """Delay policy that hands out preset delivery times, one per copy."""
+
+    def __init__(self):
+        self.times = iter(())
+
+    def deliver_at(self, ev, sim):
+        return next(self.times)
+
+
+def planned_copies(now, action):
+    """(receiver, delivery time) per copy of one send call. ``pool`` holds
+    the call's distinct time objects (equal delays still give distinct
+    objects); each copy picks one, so copies that pick the same index share
+    one object, as a broadcast under a max-delay policy does."""
+    target, delays, picks = action
+    pool = [now + d for d in delays]
+    receivers = range(1, 5) if target is None else (target,)
+    return [(r, pool[pick % len(pool)]) for r, pick in zip(receivers, picks)]
+
+
+class BroadcastProbe:
+    """Node that records each popped copy as (time, receiver, label) and,
+    for the k-th pop, makes the send calls planned for k through its
+    context: a broadcast (target None) or one send."""
+
+    def __init__(self, policy, plan, popped, labels):
+        self.policy, self.plan, self.popped, self.labels = policy, plan, popped, labels
+
+    def act(self, ctx, action):
+        label = next(self.labels)
+        copies = planned_copies(ctx.now, action)
+        self.policy.times = iter([t for _, t in copies])
+        if action[0] is None:
+            ctx.broadcast(label)
+        else:
+            ctx.send(action[0], label)
+
+    def on_start(self, ctx):
+        pass
+
+    def on_deliver(self, ctx, sender, label):
+        k = len(self.popped)
+        self.popped.append((ctx.now, ctx.pid, label))
+        for action in self.plan[k] if k < len(self.plan) else ():
+            self.act(ctx, action)
+
+
+def reference_broadcast_order(initial, plan):
+    heap, popped, labels, seqs = [], [], itertools.count(), itertools.count()
+
+    def act(now, action):
+        label = next(labels)
+        for receiver, t in planned_copies(now, action):
+            heapq.heappush(heap, (t, 0, receiver, next(seqs), label))
+
+    for now, _, action in initial:
+        act(now, action)
+    while heap:
+        time, _, pid, _, label = heapq.heappop(heap)
+        k = len(popped)
+        popped.append((time, pid, label))
+        for action in plan[k] if k < len(plan) else ():
+            act(time, action)
+    return popped
+
+
+_action = st.tuples(st.one_of(st.none(), st.integers(1, 4)),          # target
+                    st.lists(_delays, min_size=1, max_size=2),        # pool
+                    st.lists(st.integers(0, 1), min_size=4, max_size=4))
+
+
+@given(st.lists(st.tuples(_times, st.integers(1, 4), _action), min_size=1, max_size=6),
+       st.lists(st.lists(_action, max_size=2), max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_broadcast_copies_pop_in_reference_heap_order(initial, plan):
+    # GST beyond every time, so a zero delay is legal: such copies land in
+    # the bucket being drained, the others in buckets not yet drained
+    policy, popped, labels = PlannedDelivery(), [], itertools.count()
+    sim = Simulation(4, 1, Fraction(1000), Fraction(1), policy)
+    probe = BroadcastProbe(policy, plan, popped, labels)
+    for pid in range(1, 5):
+        sim.nodes[pid] = probe
+    for now, sender, action in initial:
+        sim.now = now
+        probe.act(sim.context(sender), action)
+    sim.now = Fraction(0)
+    sim.run(Fraction(100))
+    assert popped == reference_broadcast_order(initial, plan)
+    assert not sim._times and not sim._buckets
+
+
+class StartLog:
+    """Node that appends its start instant to a shared list."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def on_start(self, ctx):
+        self.log.append(ctx.now)
+
+    def on_deliver(self, ctx, sender, payload): ...
+    def on_timer(self, ctx, kind): ...
+
+
+def test_times_beyond_the_float_range_pop_in_exact_order():
+    # each of these overflows a float: only the exact compare orders them
+    big = Fraction(2) ** 1100
+    starts = [big + 1, Fraction(10) ** 400, big, big + Fraction(1, 3)]
+    sim = Simulation(4, 1, Fraction(0), Fraction(1), MaxDelayPolicy())
+    log = []
+    for pid, at in enumerate(starts, start=1):
+        sim.add_node(pid, StartLog(log), at)
+    sim.run(Fraction(10) ** 500)
+    assert log == sorted(starts)
+
+
 # -- integer decisions against plain Fraction operators ----------------------
 
 class FixedDelivery:

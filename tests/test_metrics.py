@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from squadsim import (build_report, build_simulation, happy, randomized,
                       run_scenario, worst_case)
 from squadsim.baselines import WishMsg
-from squadsim.consensus import (Certificate, CertificateMsg, DiscloseMsg,
-                                value_message)
+from squadsim.consensus import (AllowAnyMsg, Certificate, CertificateMsg,
+                                DiscloseMsg, value_message)
 from squadsim.crypto import CryptoSystem, ThresholdSignature, digest_of
 from squadsim.metrics import (ALL_CHECKS, CERT_MESSAGE_TYPES, SYNC_MESSAGE_TYPES,
                               RunFacts, _window_words, check_cert_computability,
                               check_conflicting_qcs, check_delay_bounds,
-                              check_epoch_budget, check_invariants,
+                              check_epoch_budget, check_epoch_entry_quorum,
+                              check_invariants,
                               check_message_words, check_quiet_period,
                               check_unforgeable_sigs, count_words, facts_of,
                               index_of, sync_window_words)
@@ -44,6 +45,33 @@ def wc_run():
 def advance(trace, time, pid, view):
     trace.append(TraceEvent(Fraction(time), pid, "advance", f"v={view}", 0,
                             payload=view))
+
+
+
+def test_message_classes_are_the_layers_own():
+    assert SYNC_MESSAGE_TYPES == (EpochCompletedMsg, EnterEpochMsg, WishMsg)
+    assert CERT_MESSAGE_TYPES == (DiscloseMsg, AllowAnyMsg, CertificateMsg)
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4), st.integers(1, 9)),
+                max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_epoch_entry_quorum_equals_an_all_pairs_scan(advances):
+    cfg = happy(4, 0, "squad")
+    cfg.byzantine = frozenset({4})
+    trace = Trace()
+    for time, pid, view in advances:   # any order: entries need not be sorted
+        advance(trace, Fraction(time, 2), pid, view)
+    entries = facts_of(trace, cfg).entries
+    expected = []
+    for pid, mine in entries.items():
+        for t, e in mine:
+            supporters = sum(1 for theirs in entries.values()
+                             if any(eq == e - 1 and tq <= t for tq, eq in theirs))
+            if e > 1 and supporters < cfg.f + 1:
+                expected.append(f"epoch_entry_quorum: P{pid} entered epoch {e} at {t} "
+                                f"with only {supporters} correct entries to {e - 1}")
+    assert check_epoch_entry_quorum(trace, cfg, _CRYPTO) == expected
 
 
 # -- extraction ---------------------------------------------------------------
