@@ -26,7 +26,8 @@ For every workload and end-to-end metric of BENCHMARK.json it writes, to
 
 The script exits 1 when any workload's verdict is ``gate failed``, and 2,
 with one ``bench_compare: ...`` line and no run started, when a workload,
-the parent revision or ``--workdir`` is unusable.
+the parent revision, ``--workdir`` or ``--seconds`` (it must be positive)
+is unusable.
 
 Usage:
     python3 scripts/bench_compare.py --label random_mix_exact_time \\
@@ -146,6 +147,11 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 2 or args.first_seed < 0:
         p.error("--pairs must be at least 2 and --first-seed nonnegative")
+    if args.seconds is not None and not args.seconds > 0:
+        # refused before any export or run
+        print(f"bench_compare: --seconds must be positive, not {args.seconds:g}",
+              file=sys.stderr)
+        raise SystemExit(2)
     return args
 
 

@@ -14,6 +14,16 @@ debuggable. The protocol's message builders (``vote_message``,
 ``value_message``, ``epoch_message``) return their digest string
 directly, so signing or verifying one renders nothing; ``digest_of`` maps
 a string to itself and renders a tuple ``(a,b,...)`` recursively.
+
+The ledger only grows, so a signature object that verified once keeps
+verifying against its own digest. ``CryptoSystem`` remembers each such
+object, one table for ``share_verify`` and one for ``combined_verify``,
+keyed on ``id`` and holding the object itself (so the id cannot be
+reused while the entry lives). A later call with the same object only
+compares the digest of its message, and for a partial signature the
+signer; every other object, and every object that failed, is checked
+against the ledger in full. A failure is never remembered: a later
+``share_sign`` can make it verify.
 """
 
 from __future__ import annotations
@@ -72,11 +82,17 @@ class ThresholdSignature:
         return f"sig({self.digest},{{{ids}}})"
 
 
+# the default of a verdict-table lookup: it is no signature object
+_MISS = object()
+_NO_SIGNERS: frozenset[int] = frozenset()
+
+
 class CryptoSystem:
     """Signing oracle for one simulation instance.
 
     Holds the scheme parameters and the ledger of every share_sign call,
-    against which all verification is performed.
+    against which all verification is performed, and the signature
+    objects that verified (see the module docstring).
     """
 
     def __init__(self, n: int, f: int):
@@ -88,22 +104,34 @@ class CryptoSystem:
         }
         # (scheme, digest) -> set of signer ids that really signed it
         self._ledger: dict[tuple[str, str], set[int]] = {}
+        # id(sig) -> sig, for every signature object that verified
+        self._shares_ok: dict[int, PartialSignature] = {}
+        self._combined_ok: dict[int, ThresholdSignature] = {}
 
     def share_sign(self, process: int, message, scheme: str) -> PartialSignature:
         if not (1 <= process <= self.n):
             raise CryptoError(f"unknown process {process}")
         cfg = self.schemes[scheme]
         d = digest_of(message)
-        self._ledger.setdefault((cfg.scheme_id, d), set()).add(process)
+        key = (cfg.scheme_id, d)
+        signers = self._ledger.get(key)
+        if signers is None:
+            signers = self._ledger[key] = set()
+        signers.add(process)
         return PartialSignature(process, d, cfg.scheme_id)
 
     def share_verify(self, process: int, message, psig: PartialSignature) -> bool:
+        if self._shares_ok.get(id(psig), _MISS) is psig:
+            return psig.signer == process and psig.digest == digest_of(message)
         if not isinstance(psig, PartialSignature):
             return False
         d = digest_of(message)
-        return (psig.signer == process and psig.digest == d
-                and psig.scheme in self.schemes
-                and process in self._ledger.get((psig.scheme, d), ()))
+        ok = (psig.signer == process and psig.digest == d
+              and psig.scheme in self.schemes
+              and process in self._ledger.get((psig.scheme, d), ()))
+        if ok:
+            self._shares_ok[id(psig)] = psig
+        return ok
 
     def combine(self, partials) -> ThresholdSignature:
         partials = list(partials)
@@ -120,15 +148,18 @@ class CryptoSystem:
         return ThresholdSignature(digest, signers, scheme)
 
     def combined_verify(self, message, tsig: ThresholdSignature) -> bool:
+        if self._combined_ok.get(id(tsig), _MISS) is tsig:
+            return tsig.digest == digest_of(message)
         if not isinstance(tsig, ThresholdSignature):
             return False
-        if tsig.scheme not in self.schemes:
-            return False
-        if tsig.digest != digest_of(message):
-            return False
-        if len(tsig.signers) < self.schemes[tsig.scheme].k:
-            return False
-        return tsig.signers <= self._ledger.get((tsig.scheme, tsig.digest), set())
+        ok = (tsig.scheme in self.schemes
+              and tsig.digest == digest_of(message)
+              and len(tsig.signers) >= self.schemes[tsig.scheme].k
+              and tsig.signers <= self._ledger.get((tsig.scheme, tsig.digest),
+                                                   _NO_SIGNERS))
+        if ok:
+            self._combined_ok[id(tsig)] = tsig
+        return ok
 
     def signers_for_digest(self, scheme: str, digest: str) -> frozenset[int]:
-        return frozenset(self._ledger.get((scheme, digest), set()))
+        return frozenset(self._ledger.get((scheme, digest), _NO_SIGNERS))

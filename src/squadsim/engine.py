@@ -3,8 +3,11 @@
 One Simulation instance runs n processes over an authenticated reliable
 point-to-point network with adversary-controlled delays and a GST
 boundary, until every correct process has decided or the horizon is
-reached (``trace.horizon_hit``, also when the queue drains first).
-Everything is single-threaded and exact:
+reached (``trace.horizon_hit``, also when the queue drains first). Only
+``_decide`` lowers the count of undecided correct processes, and the run
+loop tests it after each event, so a run ends right after the event whose
+handler made the last correct decision. Everything is single-threaded and
+exact:
 
 - the event queue pops in nondecreasing global time, ties broken by a
   fixed total order (time, event-class rank with delivery < timer-expiry,
@@ -29,14 +32,14 @@ Everything is single-threaded and exact:
 - message delays are chosen by a DelayPolicy at send time and validated
   there: after GST a delay must lie in (0, delta], before GST it only has
   to be finite. The verdict depends only on the send instant and the
-  delivery time, so it is decided once per distinct delivery time in an
-  instant: ``now >= gst`` and ``now + delta`` are computed when ``now``
-  changes, before the policy is asked, and the delivery keys already
-  found legal at this instant are kept in a set. Only legal results are
-  kept, so every illegal send raises. Policies read the two per-instant
-  values as ``sim.post_gst`` and ``sim.latest_delivery`` instead of
-  recomputing them per copy; a policy that returns ``latest_delivery``
-  gives all n copies of a broadcast one shared ``Fraction`` object;
+  delivery time: ``now >= gst`` and ``now + delta`` are computed when
+  ``now`` changes, before the policy is asked, into the plain attributes
+  ``sim.post_gst`` and ``sim.latest_delivery``, which policies read
+  instead of recomputing them per copy. Every delivery time is checked
+  by integer cross-products unless it is the very object the previous
+  copy got, so every illegal send raises; a policy that returns
+  ``latest_delivery`` gives all n copies of a broadcast one shared
+  ``Fraction`` object;
 - a message is one record, its send ``TraceEvent``: the policy reads it,
   the trace and the queue keep it, and the deliver event is built from it
   when it pops. A broadcast is one engine call that checks and refreshes
@@ -200,26 +203,17 @@ class Simulation:
         self._draining: Optional[list[tuple]] = None
         self._seq = 0
 
-        # delivery legality for the instant ``_instant`` (see _send)
+        # the values of the send instant ``_instant``, set by _send when
+        # the instant changes; delay policies read post_gst and
+        # latest_delivery and must not write them
         self._instant: Optional[Fraction] = None
-        self._post_gst = False
-        self._latest: Fraction = Fraction(0)
+        # whether the send being decided happens at or after GST
+        self.post_gst = False
+        # now + delta: the latest legal post-GST delivery time, one object
+        # per send instant
+        self.latest_delivery: Fraction = Fraction(0)
         # (now, latest) as (numerator, denominator, numerator, denominator)
         self._bounds: tuple[int, int, int, int] = (0, 1, 0, 1)
-        self._legal: set[tuple[int, int]] = set()
-
-    # -- per-instant values, read-only for delay policies -----------------
-
-    @property
-    def post_gst(self) -> bool:
-        """Whether the send being decided happens at or after GST."""
-        return self._post_gst
-
-    @property
-    def latest_delivery(self) -> Fraction:
-        """``now + delta`` for the send being decided: the latest legal
-        post-GST delivery time, one object per send instant."""
-        return self._latest
 
     # -- wiring ----------------------------------------------------------
 
@@ -267,20 +261,19 @@ class Simulation:
             raise ValueError("message words must be positive")
         now = self.now
         if now is not self._instant:
-            # identity, not equality: a new instant (or a reassigned now)
-            # always starts a fresh verdict set. Refreshed before the
-            # policy is asked, since it reads post_gst and latest_delivery.
+            # identity, not equality: a reassigned now is a new instant too.
+            # Refreshed before the policy is asked, since it reads
+            # post_gst and latest_delivery.
             self._instant = now
             gst = self.gst
             nn, nd = now.numerator, now.denominator
-            self._post_gst = nn * gst.denominator >= gst.numerator * nd
-            latest = self._latest = now + self.delta
+            self.post_gst = nn * gst.denominator >= gst.numerator * nd
+            latest = self.latest_delivery = now + self.delta
             self._bounds = (nn, nd, latest.numerator, latest.denominator)
-            self._legal = set()
         kind = "byz" if sender in self.byzantine else "send"
-        policy, legal = self.delay_policy.deliver_at, self._legal
+        policy = self.delay_policy.deliver_at
         append, enqueue = self.trace.events.append, self._enqueue
-        post_gst, draining = self._post_gst, self._draining
+        post_gst, draining = self.post_gst, self._draining
         nn, nd, ln, ld = self._bounds
         # the policy's last result while its bucket takes plain appends: a
         # copy given the same object again is legal and goes to that bucket
@@ -299,16 +292,14 @@ class Simulation:
             if type(deliver_at) is not Fraction:
                 deliver_at = Fraction(deliver_at)
             key = dn, dd = deliver_at.numerator, deliver_at.denominator
-            if key not in legal:
-                # exact comparisons as integer cross-products (denominators
-                # are positive)
-                if post_gst:
-                    if not (nn * dd < dn * nd and dn * ld <= ln * dd):
-                        raise AdversaryViolation(
-                            f"post-GST delay {deliver_at - now} outside (0, delta]")
-                elif dn * nd < nn * dd:
-                    raise AdversaryViolation("delivery before send")
-                legal.add(key)
+            # exact comparisons as integer cross-products (denominators
+            # are positive)
+            if post_gst:
+                if not (nn * dd < dn * nd and dn * ld <= ln * dd):
+                    raise AdversaryViolation(
+                        f"post-GST delay {deliver_at - now} outside (0, delta]")
+            elif dn * nd < nn * dd:
+                raise AdversaryViolation("delivery before send")
             append(ev)
             bucket = enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
             if bucket is draining:
@@ -337,8 +328,6 @@ class Simulation:
         return self._undecided == 0
 
     def run(self, horizon: SimTime) -> Trace:
-        # looked up on the class, so a wrapper installed there sees each check
-        stop = Simulation.all_correct_decided
         horizon_t = Fraction(horizon)
         hn, hd = horizon_t.numerator, horizon_t.denominator
         times, buckets = self._times, self._buckets
@@ -350,7 +339,9 @@ class Simulation:
         # queue checks) becomes a ProtocolError naming the pid and event.
         try:
             while True:
-                if stop(self):
+                # only _decide changes the count, so the run stops right
+                # after the event whose handler made the last correct decision
+                if not self._undecided:
                     return self.trace
                 if not times:
                     # nothing left to happen; time passes quietly to the horizon
@@ -400,7 +391,7 @@ class Simulation:
                             node.on_start(contexts[pid])
                     if not bucket:
                         break
-                    if stop(self):
+                    if not self._undecided:
                         return self.trace
         except AdversaryViolation:
             raise

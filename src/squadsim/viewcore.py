@@ -49,6 +49,11 @@ VOTE_TYPE = {PHASE_PREPARE: PREPARE_VOTE,
 NEXT_BROADCAST = {PHASE_PREPARE: PRECOMMIT,
                   PHASE_PRECOMMIT: COMMIT,
                   PHASE_COMMIT: DECIDE}
+# the phase a vote message votes for
+VOTE_PHASE = {vote: phase for phase, vote in VOTE_TYPE.items()}
+# the phase of the QC a leader broadcast carries
+QC_PHASE = {broadcast: phase for phase, broadcast in NEXT_BROADCAST.items()}
+LEADER_BROADCASTS = frozenset((PREPARE, *QC_PHASE))
 
 
 def vote_message(phase: str, value, view: int) -> str:
@@ -154,13 +159,15 @@ class ViewCore:
 
     def _dispatch(self, ctx, sender: int, msg: CoreMessage) -> None:
         view = msg.view
-        state = self._views.setdefault(view, _ViewState())
+        state = self._views.get(view)
+        if state is None:
+            state = self._views[view] = _ViewState()
         if msg.type == VIEW_CHANGE:
             self._on_view_change(ctx, sender, msg, state)
-        elif msg.type in (PREPARE, PRECOMMIT, COMMIT, DECIDE):
+        elif msg.type in LEADER_BROADCASTS:
             if sender == leader(view, self.n):
                 self._on_leader_broadcast(ctx, msg, state)
-        elif msg.type in (PREPARE_VOTE, PRECOMMIT_VOTE, COMMIT_VOTE):
+        elif msg.type in VOTE_PHASE:
             if self.pid == leader(view, self.n):
                 self._on_vote(ctx, sender, msg, state)
 
@@ -220,8 +227,7 @@ class ViewCore:
             return
 
         # PRECOMMIT / COMMIT / DECIDE all carry the QC of the prior phase
-        expected = {PRECOMMIT: PHASE_PREPARE, COMMIT: PHASE_PRECOMMIT,
-                    DECIDE: PHASE_COMMIT}[msg.type]
+        expected = QC_PHASE[msg.type]
         qc = msg.qc
         if qc is None or qc.phase != expected or qc.view != view:
             return
@@ -249,8 +255,7 @@ class ViewCore:
 
     def _on_vote(self, ctx, sender: int, msg: CoreMessage,
                  state: _ViewState) -> None:
-        phase = {PREPARE_VOTE: PHASE_PREPARE, PRECOMMIT_VOTE: PHASE_PRECOMMIT,
-                 COMMIT_VOTE: PHASE_COMMIT}[msg.type]
+        phase = VOTE_PHASE[msg.type]
         if state.proposal_value is None or msg.value != state.proposal_value:
             return
         if not self.crypto.share_verify(

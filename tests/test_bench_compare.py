@@ -113,3 +113,19 @@ def test_unusable_workdir_or_parent_exits_2_without_a_traceback(tmp_path, monkey
     assert bench_compare.main(argv) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("bench_compare: ") and bad in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan"])
+def test_nonpositive_seconds_exits_2_before_any_export(monkeypatch, capsys, seconds):
+    def refuse(*args):
+        raise AssertionError("nothing is exported or run on bad input")
+
+    for name in ("git", "export", "run_bench"):
+        monkeypatch.setattr(bench_compare, name, refuse)
+    argv = ["--label", "t", "--workload", "random_mix", "--first-seed", "3",
+            "--seconds", seconds]
+    with pytest.raises(SystemExit) as exit_:
+        bench_compare.main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("bench_compare: --seconds ") and len(err.splitlines()) == 1

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from squadsim.consensus import value_message
-from squadsim.crypto import (CryptoSystem, MixedDigests, ThresholdSignature,
+from squadsim.crypto import (CryptoError, CryptoSystem, MixedDigests,
+                             PartialSignature, ThresholdSignature,
                              ThresholdTooSmall, digest_of)
 from squadsim.raresync import epoch_message
 from squadsim.viewcore import vote_message
@@ -131,3 +135,137 @@ def test_message_builders_return_the_digest_of_their_tuple(value, phase, number)
     # a builder's string is its own digest: signing it renders nothing new
     assert digest_of(value_message(value)) == value_message(value)
 
+
+
+# -- the verdict memo: a signature object that verified once ----------------
+
+
+def test_verified_signatures_keep_their_kind(crypto):
+    partials = [crypto.share_sign(p, ("epoch", 1), "quorum") for p in (1, 2, 3)]
+    tsig = crypto.combine(partials)
+    assert crypto.share_verify(1, ("epoch", 1), partials[0])
+    assert crypto.combined_verify(("epoch", 1), tsig)
+    assert not crypto.combined_verify(("epoch", 1), partials[0])
+    assert not crypto.share_verify(1, ("epoch", 1), tsig)
+    # and the objects still verify as what they are
+    assert crypto.share_verify(1, ("epoch", 1), partials[0])
+    assert crypto.combined_verify(("epoch", 1), tsig)
+
+
+def test_verified_signatures_fail_for_another_message_or_signer(crypto):
+    partials = [crypto.share_sign(p, ("epoch", 1), "quorum") for p in (1, 2, 3)]
+    crypto.share_sign(2, ("epoch", 2), "quorum")
+    tsig = crypto.combine(partials)
+    psig = partials[0]
+    assert crypto.share_verify(1, ("epoch", 1), psig)
+    assert crypto.combined_verify(("epoch", 1), tsig)
+    assert not crypto.share_verify(1, ("epoch", 2), psig)
+    assert not crypto.share_verify(2, ("epoch", 1), psig)
+    assert not crypto.combined_verify(("epoch", 2), tsig)
+    assert not crypto.combined_verify(("epoch", 1, 0), tsig)
+
+
+def test_rejected_signatures_stay_rejected_when_checked_again(crypto):
+    forged_share = PartialSignature(4, digest_of(("epoch", 1)), "quorum")
+    forged = ThresholdSignature(digest_of(("epoch", 1)), frozenset({1, 2, 4}), "quorum")
+    crypto.share_sign(1, ("epoch", 1), "quorum")
+    crypto.share_sign(2, ("epoch", 1), "quorum")
+    for _ in range(2):
+        assert not crypto.share_verify(4, ("epoch", 1), forged_share)
+        assert not crypto.combined_verify(("epoch", 1), forged)
+
+
+def test_threshold_signature_rejected_before_its_last_signer_verifies_after(crypto):
+    early = [crypto.share_sign(p, ("epoch", 7), "quorum") for p in (1, 2)]
+    tsig = ThresholdSignature(early[0].digest, frozenset({1, 2, 3}), "quorum")
+    psig = PartialSignature(3, early[0].digest, "quorum")
+    assert not crypto.combined_verify(("epoch", 7), tsig)
+    assert not crypto.share_verify(3, ("epoch", 7), psig)
+    crypto.share_sign(3, ("epoch", 7), "quorum")
+    assert crypto.combined_verify(("epoch", 7), tsig)
+    assert crypto.share_verify(3, ("epoch", 7), psig)
+
+
+class _CountingLedger(dict):
+    """A ledger that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+
+def test_an_equal_but_distinct_signature_is_verified_on_its_own(crypto):
+    partials = [crypto.share_sign(p, ("epoch", 1), "quorum") for p in (1, 2, 3)]
+    tsig = crypto.combine(partials)
+    crypto._ledger = ledger = _CountingLedger(crypto._ledger)
+    assert crypto.combined_verify(("epoch", 1), tsig)
+    assert crypto.share_verify(1, ("epoch", 1), partials[0])
+    assert ledger.lookups == 2
+    # the same objects again: no ledger lookup
+    assert crypto.combined_verify(("epoch", 1), tsig)
+    assert crypto.share_verify(1, ("epoch", 1), partials[0])
+    assert ledger.lookups == 2
+    # equal objects are other objects: each is checked against the ledger
+    twin = ThresholdSignature(tsig.digest, tsig.signers, tsig.scheme)
+    share_twin = PartialSignature(1, partials[0].digest, "quorum")
+    assert twin == tsig and twin is not tsig and share_twin == partials[0]
+    assert crypto.combined_verify(("epoch", 1), twin)
+    assert crypto.share_verify(1, ("epoch", 1), share_twin)
+    assert ledger.lookups == 4
+
+
+def test_a_verified_signature_stays_alive_so_its_id_is_not_reused(crypto):
+    partials = [crypto.share_sign(p, ("epoch", 1), "quorum") for p in (1, 2, 3)]
+    tsig = crypto.combine(partials)
+    assert crypto.combined_verify(("epoch", 1), tsig)
+    ref = weakref.ref(tsig)
+    del tsig, partials
+    gc.collect()
+    assert ref() is not None
+
+
+_MEMO_MESSAGES = [("epoch", 1), ("epoch", 2), "any value"]
+_MEMO_OPS = ["sign", "combine", "forge", "share_verify", "combined_verify"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_memo_answers_as_a_fresh_replay_of_the_ledger(data):
+    crypto = CryptoSystem(4, 1)
+    signed = []   # the share_sign calls so far, in order
+    pool = []     # every signature object made so far: signed, combined or forged
+    for _ in range(data.draw(st.integers(1, 40))):
+        op = data.draw(st.sampled_from(_MEMO_OPS))
+        message = data.draw(st.sampled_from(_MEMO_MESSAGES))
+        scheme = data.draw(st.sampled_from(["quorum", "cert"]))
+        pid = data.draw(st.integers(1, 4))
+        if op == "sign":
+            signed.append((pid, message, scheme))
+            pool.append(crypto.share_sign(pid, message, scheme))
+        elif op == "combine":
+            partials = [p for p in pool if isinstance(p, PartialSignature)]
+            if partials:
+                chosen = data.draw(st.lists(st.sampled_from(partials),
+                                            min_size=1, max_size=4))
+                try:
+                    pool.append(crypto.combine(chosen))
+                except CryptoError:
+                    pass
+        elif op == "forge":
+            signers = data.draw(st.frozensets(st.integers(1, 4), min_size=1))
+            pool.append(data.draw(st.sampled_from([
+                ThresholdSignature(digest_of(message), signers, scheme),
+                PartialSignature(pid, digest_of(message), scheme)])))
+        elif pool:
+            sig = data.draw(st.sampled_from(pool))
+            fresh = CryptoSystem(4, 1)
+            for call in signed:
+                fresh.share_sign(*call)
+            if op == "share_verify":
+                assert crypto.share_verify(pid, message, sig) == \
+                    fresh.share_verify(pid, message, sig)
+            else:
+                assert crypto.combined_verify(message, sig) == \
+                    fresh.combined_verify(message, sig)

@@ -769,26 +769,46 @@ def test_horizon_and_order_checks_agree_with_fraction_operators(case):
         assert node.events == [("start", at)]
 
 
-def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide(monkeypatch):
-    from squadsim import build_simulation, equivocate
-    cfg = equivocate(7, 0, "squad")
+def _run_checking_each_decision(monkeypatch, cfg) -> set[int]:
+    """Runs cfg; after every decision, Byzantine ones included, the
+    undecided counter must equal a rescan of the decisions, and no
+    delivery or timer may be handled after the event whose handler made
+    the last correct decision. Returns the pids that decided."""
+    from squadsim import build_simulation
     sim = build_simulation(cfg)
-    checked = []
-    counter = Simulation.all_correct_decided
+    decide = Simulation._decide
+    checked = []   # (pid, all correct decided, trace length) after each decision
 
-    def probe(s):
+    def probe(s, pid, value):
+        decide(s, pid, value)
         rescan = all(p in s.decisions for p in range(1, s.n + 1) if p not in s.byzantine)
-        assert counter(s) == rescan
-        checked.append(rescan)
-        return rescan
+        assert s.all_correct_decided() == rescan
+        checked.append((pid, rescan, len(s.trace.events)))
 
-    # the run loop looks its stop check up on the class
-    monkeypatch.setattr(Simulation, "all_correct_decided", probe)
-    sim.run(cfg.horizon)
+    # contexts reach _decide through the class
+    monkeypatch.setattr(Simulation, "_decide", probe)
+    trace = sim.run(cfg.horizon)
     monkeypatch.undo()
-    assert sim.all_correct_decided() and checked[-1] and len(checked) > 100
+    assert sim.all_correct_decided() and not trace.horizon_hit
+    last = next(end for _, done, end in checked if done)
+    assert [ev.kind for ev in trace.events[last:]
+            if ev.kind in ("deliver", "timer")] == []
+    return {pid for pid, _, _ in checked}
+
+
+def test_undecided_counter_matches_rescan_when_byzantine_nodes_decide(monkeypatch):
+    from squadsim import equivocate
+    cfg = equivocate(7, 0, "squad")
     # the equivocating leader runs the protocol and decides too
-    assert set(sim.decisions) & sim.byzantine
+    assert _run_checking_each_decision(monkeypatch, cfg) & cfg.byzantine
+
+
+def test_run_stops_mid_instant_after_the_last_correct_decision(monkeypatch):
+    # the last correct decision is made while deliveries of the same instant
+    # are still queued behind it; a Byzantine process decides as well
+    from squadsim import randomized
+    cfg = randomized(4, 15, "raresync-quad")
+    assert _run_checking_each_decision(monkeypatch, cfg) & cfg.byzantine
 
 
 @dataclass(frozen=True)
