@@ -26,8 +26,8 @@ For every workload and end-to-end metric of BENCHMARK.json it writes, to
 
 The script exits 1 when any workload's verdict is ``gate failed``, and 2,
 with one ``bench_compare: ...`` line and no run started, when a workload,
-the parent revision, ``--workdir`` or ``--seconds`` (it must be positive)
-is unusable.
+the parent revision, ``--workdir``, ``--seconds`` (it must be positive),
+``--pairs`` (at least 2) or ``--first-seed`` (nonnegative) is unusable.
 
 Usage:
     python3 scripts/bench_compare.py --label random_mix_exact_time \\
@@ -48,6 +48,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import NoReturn
 
 ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
@@ -145,14 +146,20 @@ def parse_args(argv):
                    help="directory for the parent checkout (default: a "
                         "temporary directory)")
     args = p.parse_args(argv)
-    if args.pairs < 2 or args.first_seed < 0:
-        p.error("--pairs must be at least 2 and --first-seed nonnegative")
+    # refused before any export or run
+    if args.pairs < 2:
+        refuse(f"--pairs must be at least 2, not {args.pairs}")
+    if args.first_seed < 0:
+        refuse(f"--first-seed must be nonnegative, not {args.first_seed}")
     if args.seconds is not None and not args.seconds > 0:
-        # refused before any export or run
-        print(f"bench_compare: --seconds must be positive, not {args.seconds:g}",
-              file=sys.stderr)
-        raise SystemExit(2)
+        refuse(f"--seconds must be positive, not {args.seconds:g}")
     return args
+
+
+def refuse(message: str) -> NoReturn:
+    """Exit 2 with one ``bench_compare: ...`` line."""
+    print(f"bench_compare: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv=None) -> int:

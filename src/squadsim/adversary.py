@@ -35,8 +35,8 @@ from .raresync import EnterEpochMsg, epoch_message, leader
 from .timebase import ClockModel
 from .trace import TraceEvent
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
-from .consensus import (ANY_VALUE_TAG, AllowAnyMsg, Certificate, CertificateMsg,
-                        DiscloseMsg, value_message)
+from .consensus import (ANY_VALUE_TAG, PROTOCOLS, AllowAnyMsg, Certificate,
+                        CertificateMsg, DiscloseMsg, value_message)
 
 STRATEGIES = ("silent", "equivocate", "spam_enter_epoch", "cert_attack")
 
@@ -210,7 +210,7 @@ class CertAttackNode:
 @dataclass
 class ScenarioConfig:
     name: str
-    protocol: str                 # raresync-quad | squad | alltoall | doubling
+    protocol: str                 # a key of consensus.PROTOCOLS
     n: int
     f: int
     delta: Fraction
@@ -218,7 +218,7 @@ class ScenarioConfig:
     epsilon: Fraction
     seed: int
     byzantine: frozenset[int]
-    strategy: str
+    strategy: str                 # one of STRATEGIES
     proposals: dict[int, int]
     start_times: dict[int, Fraction]
     clocks: dict[int, ClockModel]
@@ -244,6 +244,11 @@ class ScenarioConfig:
         return self.gst + 3 * self.epoch_duration + self.horizon_slack * self.delta
 
     def validate(self) -> None:
+        """The one check of every scenario value; each builder ends with it."""
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.n != 3 * self.f + 1:
             raise ValueError(f"n={self.n} is not 3f+1")
         if len(self.byzantine) > self.f:
@@ -255,6 +260,8 @@ class ScenarioConfig:
         for what, keyed in (("clock", self.clocks), ("start", self.start_times)):
             if set(keyed) != pids:
                 raise ValueError(f"{what} ids {sorted(keyed)} are not 1..{self.n}")
+        if self.delta <= 0:
+            raise ValueError("delta must be positive")
         if self.gst < 0:
             raise ValueError("GST must be nonnegative")
         if self.epsilon < 0:
@@ -463,6 +470,18 @@ def randomized(n: int, seed: int, protocol: str = "raresync-quad",
     return cfg
 
 
+def _per_pid(spec: str, n: int) -> dict[int, Fraction]:
+    """'value' (every pid 1..n) and 'pid:value' parts; later parts win."""
+    out = {}
+    for part in spec.split(","):
+        if ":" in part:
+            pid, value = part.split(":")
+            out[int(pid)] = Fraction(value)
+        else:
+            out.update(dict.fromkeys(range(1, n + 1), Fraction(part)))
+    return out
+
+
 SCENARIO_KEYS = ("byzantine", "strategy", "proposals", "drift", "policy", "start")
 
 
@@ -480,31 +499,15 @@ def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
     if fields.get("byzantine"):
         cfg.byzantine = frozenset(int(s) for s in fields["byzantine"].split(","))
     cfg.strategy = fields.get("strategy", "silent")
-    if cfg.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
     proposals = fields.get("proposals", "distinct")
     if proposals != "distinct":
         cfg.proposals = {p: int(proposals) for p in range(1, n + 1)}
     if "drift" in fields:
-        cfg.clocks = dict(cfg.clocks)
-        for part in fields["drift"].split(","):
-            if ":" in part:
-                pid, rate = part.split(":")
-                cfg.clocks[int(pid)] = ClockModel.drift_until(
-                    int(pid), Fraction(rate), cfg.gst)
-            else:
-                for p in range(1, n + 1):
-                    cfg.clocks[p] = ClockModel.drift_until(
-                        p, Fraction(part), cfg.gst)
+        cfg.clocks = {**cfg.clocks, **{
+            p: ClockModel.drift_until(p, rate, cfg.gst)
+            for p, rate in _per_pid(fields["drift"], n).items()}}
     if "start" in fields:
-        cfg.start_times = dict(cfg.start_times)
-        for part in fields["start"].split(","):
-            if ":" in part:
-                pid, t = part.split(":")
-                cfg.start_times[int(pid)] = Fraction(t)
-            else:
-                for p in range(1, n + 1):
-                    cfg.start_times[p] = Fraction(part)
+        cfg.start_times = {**cfg.start_times, **_per_pid(fields["start"], n)}
     policy = fields.get("policy", "jitter")
     if policy == "max":
         cfg.policy = MaxDelayPolicy()

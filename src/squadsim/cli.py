@@ -5,6 +5,10 @@ per (n, seed) pair, and exits nonzero when any run violates an invariant
 or fails to decide. Flags override a flat key=value config file; the
 SQUADSIM_OUT environment variable supplies the default output directory.
 
+The CLI only parses text; the scenario builders and ``ScenarioConfig.validate``
+judge each value. The whole sweep is built before any run or directory, so
+every config error, a process outside 1..n included, is refused first.
+
 Exit codes: 0 all runs decided with zero violations; 1 a run failed to
 decide by its horizon, raised an adversary or protocol error, or violated
 an invariant; 2 configuration error.
@@ -20,10 +24,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .adversary import BUILDERS, SCENARIO_KEYS, custom_file
+from .adversary import BUILDERS, SCENARIO_KEYS, ScenarioConfig, custom_file
+from .consensus import PROTOCOLS
 from .engine import AdversaryViolation, ProtocolError
 from .metrics import CSV_HEADER
-from .runner import PROTOCOLS, run_scenario
+from .runner import run_scenario
 
 SCENARIOS = (*BUILDERS, "custom-file")
 
@@ -48,10 +53,6 @@ def parse_seed_range(spec: str) -> list[int]:
     if "," in spec:
         return [int(s) for s in spec.split(",") if s]
     return [int(spec)]
-
-
-def parse_n_list(spec: str) -> list[int]:
-    return [int(s) for s in str(spec).split(",") if s]
 
 
 def read_config_file(path: str, known) -> dict[str, str]:
@@ -103,43 +104,42 @@ DEFAULTS = {"protocol": "squad", "n": "4", "delta": "1", "gst": None,
             "epsilon": None, "out": None, "trace_dir": None}
 
 
-def resolve_options(argv) -> dict:
+def resolve_options(argv) -> dict[str, Optional[str]]:
+    """The text of each option: a flag, else its --config key, else DEFAULTS."""
     args = build_parser().parse_args(argv)
     given = read_config_file(args.config, DEFAULTS) if args.config else {}
     for key in DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
             given[key] = flag
-    opts = {**DEFAULTS, **given}
-    if opts["protocol"] not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {opts['protocol']!r}")
-    if opts["scenario"] not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {opts['scenario']!r}")
+    return {**DEFAULTS, **given}
+
+
+def build_sweep(opts) -> list[ScenarioConfig]:
+    """Every configuration of the sweep, in (n, seed) order. A value that
+    does not parse, or that a builder or ``ScenarioConfig.validate``
+    refuses, is a ConfigError before the first run."""
     if opts["scenario"] == "custom-file":
         if not opts["scenario_file"]:
             raise ConfigError("--scenario custom-file requires --scenario-file")
-        opts["scenario_fields"] = read_config_file(opts["scenario_file"],
-                                                   SCENARIO_KEYS)
+        builder = functools.partial(
+            custom_file, read_config_file(opts["scenario_file"], SCENARIO_KEYS))
+    elif opts["scenario"] in BUILDERS:
+        builder = BUILDERS[opts["scenario"]]
+    else:
+        raise ConfigError(f"unknown scenario {opts['scenario']!r}")
     try:
-        opts["n_list"] = parse_n_list(opts["n"])
-        opts["seed_list"] = parse_seed_range(str(opts["seeds"]))
-        opts["delta_frac"] = Fraction(str(opts["delta"]))
-        opts["gst_frac"] = (None if opts["gst"] is None      # the scenario's default
-                            else Fraction(str(opts["gst"])))
-        opts["epsilon_frac"] = (None if opts["epsilon"] in (None, "")
-                                else Fraction(str(opts["epsilon"])))
+        n_list = [int(s) for s in opts["n"].split(",") if s]
+        seeds = parse_seed_range(opts["seeds"])
+        if not n_list or not seeds:
+            raise ConfigError("empty system-size or seed list: nothing to run")
+        delta = Fraction(opts["delta"])
+        gst = None if opts["gst"] is None else Fraction(opts["gst"])
+        epsilon = None if opts["epsilon"] in (None, "") else Fraction(opts["epsilon"])
+        return [builder(n, seed, opts["protocol"], delta, gst, epsilon)
+                for n in n_list for seed in seeds]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc))
-    if not opts["n_list"] or not opts["seed_list"]:
-        raise ConfigError("empty system-size or seed list: nothing to run")
-    for n in opts["n_list"]:
-        if n < 4 or (n - 1) % 3 != 0:
-            raise ConfigError(f"n={n} is not 3f+1 for integer f >= 1")
-    if opts["delta_frac"] <= 0:
-        raise ConfigError("delta must be positive")
-    if opts["gst_frac"] is not None and opts["gst_frac"] < 0:
-        raise ConfigError("GST must be nonnegative")
-    return opts
 
 
 def default_out_path(opts) -> Path:
@@ -189,6 +189,7 @@ def run_one(cfg, trace_dir: Optional[Path]) -> tuple[Optional[str], bool]:
 def main(argv=None) -> int:
     try:
         opts = resolve_options(argv)
+        sweep = build_sweep(opts)
         out_path = Path(opts["out"]) if opts["out"] else default_out_path(opts)
         trace_dir = Path(opts["trace_dir"]) if opts["trace_dir"] else None
         prepare_outputs(out_path, trace_dir)
@@ -198,24 +199,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # --help
         return 0 if exc.code in (0, None) else 2
 
-    if opts["scenario"] == "custom-file":
-        builder = functools.partial(custom_file, opts["scenario_fields"])
-    else:
-        builder = BUILDERS[opts["scenario"]]
     rows = [CSV_HEADER]
     failures = 0
-    for n in opts["n_list"]:
-        for seed in opts["seed_list"]:
-            try:
-                cfg = builder(n, seed, opts["protocol"], opts["delta_frac"],
-                              opts["gst_frac"], opts["epsilon_frac"])
-            except (ValueError, ZeroDivisionError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            row, failed = run_one(cfg, trace_dir)
-            failures += failed
-            if row is not None:
-                rows.append(row)
+    for cfg in sweep:
+        row, failed = run_one(cfg, trace_dir)
+        failures += failed
+        if row is not None:
+            rows.append(row)
     out_path.write_text("\n".join(rows) + "\n")
     print(f"wrote {out_path}")
     return 1 if failures else 0

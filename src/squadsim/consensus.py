@@ -31,6 +31,10 @@ from .viewcore import ViewCore
 
 ANY_VALUE_TAG = "any value"
 
+# every protocol a scenario can name: (synchronizer, certified)
+PROTOCOLS = {"raresync-quad": ("raresync", False), "squad": ("raresync", True),
+             "alltoall": ("alltoall", False), "doubling": ("doubling", False)}
+
 
 def value_message(value) -> str:
     return f"(value,{value})"

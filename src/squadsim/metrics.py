@@ -67,8 +67,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .consensus import ANY_VALUE_TAG, CertPhase, Certificate, CertificateMsg, \
-    value_message
+from .consensus import (ANY_VALUE_TAG, PROTOCOLS, CertPhase, Certificate,
+                        CertificateMsg, value_message)
 from .crypto import ThresholdSignature
 from .raresync import EnterEpochMsg, EpochCompletedMsg, RareSync, leader
 from .baselines import AllToAllSync
@@ -732,11 +732,12 @@ ALL_CHECKS = {**RARESYNC_CHECKS, **CORE_CHECKS, **GENERIC_CHECKS, **CERT_CHECKS}
 
 
 def checks_for(protocol: str) -> dict:
+    synchronizer, certified = PROTOCOLS[protocol]
     checks = dict(GENERIC_CHECKS)
     checks.update(CORE_CHECKS)
-    if protocol in ("raresync-quad", "squad"):
+    if synchronizer == "raresync":
         checks.update(RARESYNC_CHECKS)
-    if protocol == "squad":
+    if certified:
         checks.update(CERT_CHECKS)
     return checks
 

@@ -6,15 +6,10 @@ from dataclasses import dataclass
 
 from .adversary import (CertAttackNode, EquivocatingCore, ScenarioConfig,
                         SilentNode, SpamEnterEpochNode)
-from .consensus import ProtocolNode
+from .consensus import PROTOCOLS, ProtocolNode
 from .engine import Simulation
 from .metrics import MetricsReport, build_report
 from .trace import Trace
-
-PROTOCOLS = ("raresync-quad", "squad", "alltoall", "doubling")
-
-_SYNCHRONIZER = {"raresync-quad": "raresync", "squad": "raresync",
-                 "alltoall": "alltoall", "doubling": "doubling"}
 
 
 @dataclass
@@ -27,11 +22,12 @@ class RunResult:
 
 def _protocol_node(cfg: ScenarioConfig, sim: Simulation, pid: int,
                    core_factory=None) -> ProtocolNode:
+    synchronizer, certified = PROTOCOLS[cfg.protocol]
     return ProtocolNode(
         pid, cfg.n, cfg.f, sim.crypto, cfg.proposals[pid],
-        synchronizer=_SYNCHRONIZER[cfg.protocol], delta=cfg.delta,
+        synchronizer=synchronizer, delta=cfg.delta,
         view_duration=cfg.view_duration,
-        certified=(cfg.protocol == "squad"), core_factory=core_factory)
+        certified=certified, core_factory=core_factory)
 
 
 def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
@@ -47,8 +43,6 @@ def _byzantine_node(cfg: ScenarioConfig, sim: Simulation, pid: int):
 
 
 def build_simulation(cfg: ScenarioConfig) -> Simulation:
-    if cfg.protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {cfg.protocol!r}")
     sim = Simulation(cfg.n, cfg.f, cfg.gst, cfg.delta, cfg.policy,
                      seed=cfg.seed, byzantine=cfg.byzantine, clocks=cfg.clocks)
     for pid in range(1, cfg.n + 1):

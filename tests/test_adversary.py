@@ -98,6 +98,23 @@ def test_validation_rejects_oversized_byzantine_set():
         cfg.validate()
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"delta": 0}, "delta must be positive"),
+    ({"delta": -1}, "delta must be positive"),
+    ({"protocol": "paxos"}, "unknown protocol 'paxos'"),
+], ids=["zero-delta", "negative-delta", "unknown-protocol"])
+def test_validation_rejects_bad_delta_and_unknown_protocol(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        happy(4, 0, **kwargs)
+
+
+def test_validation_rejects_unknown_strategy():
+    cfg = happy(4, 0)
+    cfg.strategy = "evil"
+    with pytest.raises(ValueError, match="unknown strategy 'evil'"):
+        cfg.validate()
+
+
 def test_equivocating_leader_splits_but_never_double_certifies():
     from squadsim.viewcore import CoreMessage, PREPARE, PREPARE_VOTE
     cfg = equivocate(4, 5)

@@ -129,3 +129,22 @@ def test_nonpositive_seconds_exits_2_before_any_export(monkeypatch, capsys, seco
     assert exit_.value.code == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("bench_compare: --seconds ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--pairs", "1"), ("--pairs", "0"),
+                                         ("--first-seed", "-1")])
+def test_too_few_pairs_or_a_negative_seed_exits_2_before_any_export(
+        monkeypatch, capsys, flag, value):
+    def refuse(*args):
+        raise AssertionError("nothing is exported or run on bad input")
+
+    for name in ("git", "export", "run_bench"):
+        monkeypatch.setattr(bench_compare, name, refuse)
+    argv = ["--label", "t", "--workload", "random_mix", "--first-seed", "3",
+            flag, value]
+    with pytest.raises(SystemExit) as exit_:
+        bench_compare.main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"bench_compare: {flag} must be " + (
+        f"at least 2, not {value}" if flag == "--pairs" else f"nonnegative, not {value}")

@@ -156,6 +156,8 @@ def test_custom_file_requires_path():
     pytest.param(None, ["--seeds", "5..1"], None, "", id="empty-seeds"),
     pytest.param(None, ["--n", ""], None, "", id="empty-n"),
     pytest.param(None, ["--epsilon", "-1"], None, "", id="negative-epsilon"),
+    pytest.param(None, ["--delta", ""], None, "", id="empty-delta"),
+    pytest.param(None, ["--gst", ""], None, "", id="empty-gst"),
     pytest.param(None, ["--scenario", "random", "--epsilon", "-1"], None,
                  "epsilon", id="random-negative-epsilon"),
     pytest.param(None, ["--scenario", "random", "--gst", "50"], None,
@@ -186,6 +188,20 @@ def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args,
     assert "config error" in err and "Traceback" not in err
     assert message in err
     assert not out.exists()
+
+
+def test_a_config_error_in_a_later_size_is_refused_before_any_run(tmp_path, capsys):
+    # byzantine={5,6} is legal at n=7 (f=2) but not at n=4 (f=1)
+    scen = tmp_path / "scenario.cfg"
+    scen.write_text("byzantine=5,6\n")
+    out = tmp_path / "results" / "r.csv"
+    code = main(["--n", "7,4", "--seeds", "0..1", "--scenario", "custom-file",
+                 "--scenario-file", str(scen), "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code == 2
+    assert printed.out == ""
+    assert "config error: byzantine set exceeds f" in printed.err
+    assert not out.parent.exists()
 
 
 # -- the input contract over random flag sets and scenario files ---------------
@@ -279,6 +295,7 @@ def test_any_input_ends_in_a_documented_exit(inputs):
     assert "Traceback" not in err + out.getvalue()
     if code == 2:
         assert "config error" in err, (argv, err)
+        assert out.getvalue() == "", (argv, out.getvalue())   # refused before any run
 
 
 @pytest.mark.parametrize("error", [

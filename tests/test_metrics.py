@@ -20,7 +20,7 @@ from squadsim.metrics import (ALL_CHECKS, CERT_MESSAGE_TYPES, SYNC_MESSAGE_TYPES
                               RunFacts, _window_words, check_cert_computability,
                               check_conflicting_qcs, check_delay_bounds,
                               check_epoch_budget, check_epoch_entry_quorum,
-                              check_invariants,
+                              check_invariants, checks_for,
                               check_message_words, check_quiet_period,
                               check_unforgeable_sigs, count_words, facts_of,
                               index_of, sync_window_words)
@@ -239,6 +239,25 @@ def test_clean_runs_have_no_violations(happy_run, wc_run):
     for run in (happy_run, wc_run):
         assert check_invariants(run.trace, run.config,
                                 run.simulation.crypto) == []
+
+
+_ALWAYS = ["monotonic_views", "message_words", "delay_bounds",          # generic
+           "agreement", "conflicting_qcs", "unforgeable_sigs", "core_word_budget"]
+_RARESYNC = ["no_view_skip", "view_bounds", "epoch_entry_quorum", "quiet_period",
+             "tight_entry", "view_overlap", "entry_bound", "epoch_budget",
+             "entry_spacing", "epoch_succession"]
+_CERT = ["cert_computability", "cert_liveness", "cert_word_budget"]
+
+
+@pytest.mark.parametrize("protocol, names", [
+    ("raresync-quad", _ALWAYS + _RARESYNC),
+    ("squad", _ALWAYS + _RARESYNC + _CERT),
+    ("alltoall", _ALWAYS),
+    ("doubling", _ALWAYS),
+])
+def test_checkers_run_for_each_protocol(protocol, names):
+    # in this order: a run's violations are listed checker by checker
+    assert list(checks_for(protocol)) == names
 
 
 # -- planted defects: every checker must flag its mutation --------------------
