@@ -168,18 +168,13 @@ def main(argv=None) -> int:
     known = {w["name"] for w in bench["workloads"]}
     unknown = sorted(set(args.workload) - known)
     if unknown:
-        print(f"bench_compare: unknown workload(s) {unknown}", file=sys.stderr)
-        return 2
+        refuse(f"unknown workload(s) {unknown}")
     if args.workdir is not None and not os.path.isdir(args.workdir):
-        print(f"bench_compare: --workdir {args.workdir} is not a directory",
-              file=sys.stderr)
-        return 2
+        refuse(f"--workdir {args.workdir} is not a directory")
     try:
         parent_sha = git("rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}")
     except subprocess.CalledProcessError:
-        print(f"bench_compare: --parent {args.parent} names no commit",
-              file=sys.stderr)
-        return 2
+        refuse(f"--parent {args.parent} names no commit")
     seconds = args.seconds or bench["run_seconds"]
     metrics = bench["end_to_end"]
     record = {

@@ -1,5 +1,5 @@
 """Adversary machinery: scenario construction, network delay policies,
-and Byzantine process behaviors.
+Byzantine process behaviors, and the node each process runs.
 
 Scenarios are built constructively. The worst-case builder staggers when
 correct processes begin the protocol across a window wider than 2*delta
@@ -21,6 +21,9 @@ GST every choice is validated against the delta bound. All jittered
 delays come from ``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and
 ``RandomizedPolicy`` are presets of it. ``ScheduledReleasePolicy`` and the
 engine's ``MaxDelayPolicy`` give exact delta delays.
+
+``build_node`` builds every process's node: the protocol node for a correct
+pid, and the node ``STRATEGIES[cfg.strategy]`` builds for a Byzantine one.
 """
 
 from __future__ import annotations
@@ -29,16 +32,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crypto import ThresholdSignature
+from .crypto import CryptoSystem, ThresholdSignature
 from .engine import MaxDelayPolicy, Simulation
 from .raresync import EnterEpochMsg, epoch_message, leader
 from .timebase import ClockModel
 from .trace import TraceEvent
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
 from .consensus import (ANY_VALUE_TAG, PROTOCOLS, AllowAnyMsg, Certificate,
-                        CertificateMsg, DiscloseMsg, value_message)
-
-STRATEGIES = ("silent", "equivocate", "spam_enter_epoch", "cert_attack")
+                        CertificateMsg, CertPhase, DiscloseMsg, ProtocolNode,
+                        value_message)
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +93,7 @@ class HoldUntilGstPolicy(JitterDelayPolicy):
     can only come from synchronization after stabilization."""
 
     def __init__(self):
-        super().__init__(held_types=(CoreMessage,))
+        super().__init__(held_types=ViewCore.MESSAGES)
 
 
 class RandomizedPolicy(JitterDelayPolicy):
@@ -126,7 +128,7 @@ class ScheduledReleasePolicy:
 
 
 # --------------------------------------------------------------------------
-# Byzantine nodes
+# Nodes
 # --------------------------------------------------------------------------
 
 class SilentNode:
@@ -203,6 +205,32 @@ class CertAttackNode:
     def on_timer(self, ctx, kind: str) -> None: ...
 
 
+def protocol_node(cfg: ScenarioConfig, pid: int, crypto: CryptoSystem,
+                  core_factory=None) -> ProtocolNode:
+    """The protocol node of ``cfg.protocol`` at ``pid``."""
+    synchronizer, certified = PROTOCOLS[cfg.protocol]
+    return ProtocolNode(
+        pid, cfg.n, cfg.f, crypto, cfg.proposals[pid],
+        synchronizer=synchronizer, delta=cfg.delta,
+        view_duration=cfg.view_duration,
+        certified=certified, core_factory=core_factory)
+
+
+# strategy name -> the Byzantine node it runs, built from (cfg, pid, crypto)
+STRATEGIES = {
+    "silent": lambda cfg, pid, crypto: SilentNode(),
+    "equivocate": lambda cfg, pid, crypto: protocol_node(cfg, pid, crypto, EquivocatingCore),
+    "spam_enter_epoch": lambda cfg, pid, crypto: SpamEnterEpochNode(cfg.f, cfg.delta),
+    "cert_attack": lambda cfg, pid, crypto: CertAttackNode(pid, cfg.f),
+}
+
+
+def build_node(cfg: ScenarioConfig, pid: int, crypto: CryptoSystem):
+    """The node at ``pid``: its strategy's if Byzantine, else the protocol node."""
+    build = STRATEGIES[cfg.strategy] if pid in cfg.byzantine else protocol_node
+    return build(cfg, pid, crypto)
+
+
 # --------------------------------------------------------------------------
 # Scenario configuration
 # --------------------------------------------------------------------------
@@ -218,7 +246,7 @@ class ScenarioConfig:
     epsilon: Fraction
     seed: int
     byzantine: frozenset[int]
-    strategy: str                 # one of STRATEGIES
+    strategy: str                 # a key of STRATEGIES
     proposals: dict[int, int]
     start_times: dict[int, Fraction]
     clocks: dict[int, ClockModel]
@@ -332,9 +360,12 @@ def worst_case(n: int, seed: int, protocol: str = "squad",
     """
     f, delta, epsilon = _sizes(n, delta, epsilon)
     gst = max(Fraction(50), 5 * delta) if gst is None else Fraction(gst)
-    if gst < 5 * delta:
+    # a bad delta is left to validate, which names it
+    if delta > 0 and gst < 5 * delta:
         raise ValueError(f"worst_case needs gst >= 5*delta = {5 * delta}, got {gst}")
-    if protocol == "alltoall":
+    # an unknown protocol gets the default placement; validate refuses it
+    synchronizer, certified = PROTOCOLS.get(protocol, (None, False))
+    if synchronizer == "alltoall":
         # quorum-gated view exits realign everyone each view; the first f
         # views after the initial one are the ones to corrupt
         byz = frozenset(leader(v, n) for v in range(1, f + 1))
@@ -347,15 +378,14 @@ def worst_case(n: int, seed: int, protocol: str = "squad",
 
     starts: dict[int, Fraction] = {}
     releases: dict[int, Fraction] = {}
-    if protocol == "squad":
+    if certified:
         # everyone starts early; certification traffic is withheld per
         # receiver so consensus begins at gst - offset
         for p in range(1, n + 1):
             starts[p] = gst - 4 * delta
         for p, off in offsets.items():
             releases[p] = gst - off
-        policy = ScheduledReleasePolicy(
-            releases, (DiscloseMsg, AllowAnyMsg, CertificateMsg))
+        policy = ScheduledReleasePolicy(releases, CertPhase.MESSAGES)
     else:
         for p in range(1, n + 1):
             starts[p] = gst - offsets.get(p, delta / 2)
@@ -396,7 +426,7 @@ def scenario_s(n: int, seed: int, protocol: str = "raresync-quad",
     view_d = cfg.view_duration
     earliest = 3 * view_d + delta
     cfg.gst = earliest if gst is None else Fraction(gst)
-    if cfg.gst < earliest:
+    if delta > 0 and cfg.gst < earliest:
         raise ValueError(f"scenario_s needs gst >= three views plus delta = "
                          f"{earliest}, got {cfg.gst}")
 
@@ -484,6 +514,10 @@ def _per_pid(spec: str, n: int) -> dict[int, Fraction]:
 
 SCENARIO_KEYS = ("byzantine", "strategy", "proposals", "drift", "policy", "start")
 
+# custom_file's policy names -> the delay policy each builds
+POLICIES = {"max": MaxDelayPolicy, "jitter": JitterDelayPolicy,
+            "random": RandomizedPolicy}
+
 
 def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
                 delta=Fraction(1), gst=None, epsilon=None) -> ScenarioConfig:
@@ -491,7 +525,7 @@ def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
 
     Recognized keys: byzantine (comma-separated ids), strategy, proposals
     (an integer for unanimity or 'distinct'), drift (single pre-GST rate or
-    'pid:rate' pairs), policy (max | jitter | random), start (single time
+    'pid:rate' pairs), policy (a key of ``POLICIES``), start (single time
     or 'pid:time' pairs, all at most GST). Everything else is ``happy``'s.
     """
     cfg = happy(n, seed, protocol, delta, gst, epsilon)
@@ -509,12 +543,9 @@ def custom_file(fields: dict[str, str], n: int, seed: int, protocol: str,
     if "start" in fields:
         cfg.start_times = {**cfg.start_times, **_per_pid(fields["start"], n)}
     policy = fields.get("policy", "jitter")
-    if policy == "max":
-        cfg.policy = MaxDelayPolicy()
-    elif policy == "random":
-        cfg.policy = RandomizedPolicy()
-    elif policy != "jitter":
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    cfg.policy = POLICIES[policy]()
     cfg.validate()
     return cfg
 

@@ -46,8 +46,8 @@ exact:
   once, then gives each copy its own seq, event and policy call, in
   receiver order. A copy whose policy result is the very object the
   previous copy got is legal and goes to the same bucket, so a run of
-  such copies costs one legality check and one ``_buckets`` lookup. The
-  trace is the only word tally: every copy carries its words there.
+  such copies costs one legality check and one ``_buckets`` lookup. Every
+  message is one word, in its send event: the trace is the only word tally.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -124,23 +124,20 @@ class ProcessContext:
     def __init__(self, sim: "Simulation", pid: int):
         self._sim = sim
         self.pid = pid
+        self.crypto: CryptoSystem = sim.crypto
 
     @property
     def now(self) -> Fraction:
         return self._sim.now
 
-    @property
-    def crypto(self) -> CryptoSystem:
-        return self._sim.crypto
-
-    def send(self, receiver: int, payload, words: int = 1) -> None:
+    def send(self, receiver: int, payload) -> None:
         if not (1 <= receiver <= self._sim.n):
             raise ValueError(f"unknown receiver {receiver}")
-        self._sim._send(self.pid, (receiver,), payload, words)
+        self._sim._send(self.pid, (receiver,), payload)
 
-    def broadcast(self, payload, words: int = 1) -> None:
+    def broadcast(self, payload) -> None:
         # n point-to-point sends, self included, in process-id order
-        self._sim._send(self.pid, range(1, self._sim.n + 1), payload, words)
+        self._sim._send(self.pid, range(1, self._sim.n + 1), payload)
 
     def measure(self, kind: str, local_duration: Fraction) -> None:
         self._sim._timer_measure(self.pid, kind, local_duration)
@@ -255,10 +252,8 @@ class Simulation:
             bucket.append(entry)
         return bucket
 
-    def _send(self, sender: int, receivers, payload, words: int) -> None:
+    def _send(self, sender: int, receivers, payload) -> None:
         # one send event per copy, in receiver order (see the module docstring)
-        if words <= 0:
-            raise ValueError("message words must be positive")
         now = self.now
         if now is not self._instant:
             # identity, not equality: a reassigned now is a new instant too.
@@ -281,7 +276,7 @@ class Simulation:
         for receiver in receivers:
             self._seq = seq = self._seq + 1
             # detail None: TraceEvent.line renders it from the payload
-            ev = TraceEvent(now, sender, kind, None, words, payload, sender,
+            ev = TraceEvent(now, sender, kind, None, 1, payload, sender,
                             receiver, seq)
             deliver_at = policy(ev, self)
             if deliver_at is last:

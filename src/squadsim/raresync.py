@@ -74,9 +74,8 @@ class RareSync:
         self.epoch: int = 1
         self.view: int = 1          # in-epoch index, always in [1, f+1]
         self.epoch_sig: Optional[ThresholdSignature] = None
-        # epoch -> {sender: psig}; quorum consumed at most once per epoch
+        # epoch -> {sender: psig}
         self._completed: dict[int, dict[int, PartialSignature]] = {}
-        self._consumed: set[int] = set()
 
     # -- helpers -----------------------------------------------------------
 
@@ -122,9 +121,8 @@ class RareSync:
         tally = self._completed.setdefault(msg.epoch, {})
         tally.setdefault(sender, msg.psig)
         e = msg.epoch
-        if (e >= self.epoch and e not in self._consumed
-                and len(tally) >= 2 * self.f + 1):
-            self._consumed.add(e)
+        # taking e's quorum sets epoch = e + 1, never lowered: used once
+        if e >= self.epoch and len(tally) >= 2 * self.f + 1:
             self.epoch_sig = ctx.crypto.combine(tally.values())
             self.epoch = e + 1
             ctx.cancel("view_timer")

@@ -20,10 +20,10 @@ class FakeContext:
         self.epochs: list = []
         self.decisions: list = []
 
-    def send(self, receiver, payload, words=1):
+    def send(self, receiver, payload):
         self.sends.append((receiver, payload))
 
-    def broadcast(self, payload, words=1):
+    def broadcast(self, payload):
         for receiver in range(1, self.n + 1):
             self.sends.append((receiver, payload))
 

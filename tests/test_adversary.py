@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from squadsim.adversary import (JitterDelayPolicy, RandomizedPolicy,
-                                equivocate, happy, randomized, scenario_s,
-                                worst_case)
+from squadsim.adversary import (STRATEGIES, CertAttackNode, EquivocatingCore,
+                                JitterDelayPolicy, RandomizedPolicy, SilentNode,
+                                SpamEnterEpochNode, custom_file, equivocate,
+                                happy, randomized, scenario_s, worst_case)
+from squadsim.consensus import ProtocolNode
 from squadsim.engine import Simulation
 from squadsim.raresync import leader
-from squadsim.runner import run_scenario
+from squadsim.runner import build_simulation, run_scenario
+from squadsim.viewcore import ViewCore
 
 
 def test_worst_case_byzantine_set_size_and_rotation():
@@ -113,6 +116,33 @@ def test_validation_rejects_unknown_strategy():
     cfg.strategy = "evil"
     with pytest.raises(ValueError, match="unknown strategy 'evil'"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("builder, delta, gst, message", [
+    (worst_case, 0, -1, "delta must be positive"),
+    (worst_case, -2, -1, "delta must be positive"),
+    (worst_case, 1, 4, "worst_case needs gst >= 5\\*delta = 5, got 4"),
+    (scenario_s, 0, -1, "delta must be positive"),
+    (scenario_s, 1, 31, "scenario_s needs gst >= three views plus delta"),
+], ids=["worst-zero-delta", "worst-negative-delta", "worst-gst-below-minimum",
+        "s-zero-delta", "s-gst-below-minimum"])
+def test_a_bad_delta_is_named_before_the_gst_minimum(builder, delta, gst, message):
+    with pytest.raises(ValueError, match=message):
+        builder(4, 0, delta=delta, gst=gst)
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_each_strategy_builds_its_node_and_correct_pids_the_protocol_node(strategy):
+    cfg = custom_file({"byzantine": "2", "strategy": strategy}, 4, 0, "squad")
+    nodes = build_simulation(cfg).nodes
+    byz = nodes[2]
+    if strategy == "equivocate":
+        assert type(byz) is ProtocolNode and type(byz.core) is EquivocatingCore
+    else:
+        assert type(byz) is {"silent": SilentNode, "spam_enter_epoch": SpamEnterEpochNode,
+                             "cert_attack": CertAttackNode}[strategy]
+    for pid in (1, 3, 4):
+        assert type(nodes[pid]) is ProtocolNode and type(nodes[pid].core) is ViewCore
 
 
 def test_equivocating_leader_splits_but_never_double_certifies():

@@ -95,7 +95,7 @@ def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch,
                             "setup_s": "no regression"}
 
 
-@pytest.mark.parametrize("flag", ["--workdir", "--parent"])
+@pytest.mark.parametrize("flag", ["--workdir", "--parent", "--workload"])
 def test_unusable_workdir_or_parent_exits_2_without_a_traceback(tmp_path, monkeypatch,
                                                                 capsys, flag):
     def git(*args):
@@ -108,9 +108,12 @@ def test_unusable_workdir_or_parent_exits_2_without_a_traceback(tmp_path, monkey
 
     monkeypatch.setattr(bench_compare, "git", git)
     monkeypatch.setattr(bench_compare, "run_bench", run_bench)
-    bad = {"--workdir": str(tmp_path / "missing"), "--parent": "no-such-rev"}[flag]
+    bad = {"--workdir": str(tmp_path / "missing"), "--parent": "no-such-rev",
+           "--workload": "no_such_workload"}[flag]
     argv = ["--label", "t", "--workload", "random_mix", "--first-seed", "3", flag, bad]
-    assert bench_compare.main(argv) == 2
+    with pytest.raises(SystemExit) as exit_:
+        bench_compare.main(argv)
+    assert exit_.value.code == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("bench_compare: ") and bad in err and len(err.splitlines()) == 1
 

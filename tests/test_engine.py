@@ -335,12 +335,12 @@ def test_broadcast_copies_are_distinct_send_events_in_receiver_order():
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
     seq0 = sim._seq
-    sim.context(2).broadcast(Ping("all"), words=3)
+    sim.context(2).broadcast(Ping("all"))
     sends = [ev for ev in sim.trace.events if ev.kind == "send"]
     assert [(ev.receiver, ev.seq) for ev in sends] == [(r, seq0 + r) for r in range(1, 5)]
     assert len({id(ev) for ev in sends}) == 4
     assert {(ev.time, ev.process, ev.sender, ev.words, ev.payload)
-            for ev in sends} == {(Fraction(20), 2, 2, 3, Ping("all"))}
+            for ev in sends} == {(Fraction(20), 2, 2, 1, Ping("all"))}
     # one policy call per copy, in receiver order, about that copy's event
     assert [(id(ev), r, s) for ev, r, s, _, _ in policy.seen] == \
         [(id(ev), ev.receiver, ev.seq) for ev in sends]
@@ -392,9 +392,7 @@ def test_rejected_send_consumes_no_seq_and_logs_nothing():
     drain(sim, horizon=Fraction(15))
     sim.now = Fraction(20)
     before, seq0 = len(sim.trace.events), sim._seq
-    for call in (lambda ctx: ctx.broadcast(Ping("free"), words=0),
-                 lambda ctx: ctx.send(2, Ping("free"), words=-1),
-                 lambda ctx: ctx.send(5, Ping("nobody")),
+    for call in (lambda ctx: ctx.send(5, Ping("nobody")),
                  lambda ctx: ctx.send(0, Ping("nobody"))):
         with pytest.raises(ValueError):
             call(sim.context(1))
@@ -472,12 +470,6 @@ def test_self_send_has_normal_bounds():
     drain(sim)
     deliveries = [e for e in nodes[2].events if e[0] == "deliver"]
     assert deliveries[0][1] == Fraction(31) and deliveries[0][2] == 2
-
-
-def test_rejects_nonpositive_words():
-    sim, _ = make_sim()
-    with pytest.raises(ValueError):
-        sim.context(1).send(2, Ping("free"), words=0)
 
 
 def test_byzantine_sends_logged_as_byz():
