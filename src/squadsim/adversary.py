@@ -16,11 +16,12 @@ since it draws GST per seed. Horizons, GSTs and clock activations are
 built from ``ScenarioConfig.view_duration``, the one place the view
 duration is computed.
 
-Delay policies choose each copy's delivery time from its send event; after
-GST every choice is validated against the delta bound. All jittered
-delays come from ``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and
-``RandomizedPolicy`` are presets of it. ``ScheduledReleasePolicy`` and the
-engine's ``MaxDelayPolicy`` give exact delta delays.
+A delay policy is asked once per send call and chooses one delivery time
+per receiver, in receiver order; after GST the engine validates each
+against the delta bound. All jittered delays come from
+``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and ``RandomizedPolicy`` are
+presets of it. ``ScheduledReleasePolicy`` and the engine's
+``MaxDelayPolicy`` give exact delta delays.
 
 ``build_node`` builds every process's node: the protocol node for a correct
 pid, and the node ``STRATEGIES[cfg.strategy]`` builds for a Byzantine one.
@@ -36,7 +37,6 @@ from .crypto import CryptoSystem, ThresholdSignature
 from .engine import MaxDelayPolicy, Simulation
 from .raresync import EnterEpochMsg, epoch_message, leader
 from .timebase import ClockModel
-from .trace import TraceEvent
 from .viewcore import (PREPARE, CoreMessage, ViewCore)
 from .consensus import (ANY_VALUE_TAG, PROTOCOLS, AllowAnyMsg, Certificate,
                         CertificateMsg, CertPhase, DiscloseMsg, ProtocolNode,
@@ -48,20 +48,21 @@ from .consensus import (ANY_VALUE_TAG, PROTOCOLS, AllowAnyMsg, Certificate,
 # --------------------------------------------------------------------------
 
 class JitterDelayPolicy:
-    """Seeded jittered delays: one ``randrange`` step per send event.
+    """Seeded jittered delays: one ``randrange`` step per copy, drawn in
+    receiver order.
 
     After GST the delay is ``delta * step / RES`` with step in 1..RES.
     Before GST the step lies in 1..``pre_gst_steps``; a payload of one of
     ``held_types`` is withheld until ``gst + delay``, anything else arrives
-    at ``ev.time + delay`` but no later than ``gst + delta``. Like
+    at ``now + delay`` but no later than ``gst + delta``. Like
     ``ScheduledReleasePolicy`` it reads the engine's ``sim.post_gst`` and
     keeps no per-run state.
 
-    The delivery time is built as one ``Fraction`` from plain ints, the
+    Each delivery time is built as one ``Fraction`` from plain ints, the
     numerators and denominators of the base time and of ``delta``, and the
     pre-GST cap is an integer cross-product. No float and no ``Fraction``
     comparison takes part, so each result equals the rational formula
-    above exactly.
+    above exactly. Everything but the step is decided once per call.
     """
 
     RES = 64
@@ -70,21 +71,33 @@ class JitterDelayPolicy:
         self.held_types = held_types
         self.pre_gst_steps = pre_gst_steps
 
-    def deliver_at(self, ev: TraceEvent, sim: Simulation) -> Fraction:
+    def deliver_at(self, now: Fraction, payload, receivers,
+                   sim: Simulation) -> list[Fraction]:
         post_gst = sim.post_gst
-        step = sim.rng.randrange(1, (self.RES if post_gst else self.pre_gst_steps) + 1)
-        held = not post_gst and isinstance(ev.payload, self.held_types)
-        base = sim.gst if held else ev.time
-        delta = sim.delta
+        steps = (self.RES if post_gst else self.pre_gst_steps) + 1
+        held = not post_gst and isinstance(payload, self.held_types)
+        gst, delta = sim.gst, sim.delta
+        base = gst if held else now
         # base + delta * step / RES over a common denominator
         bd, dd = base.denominator, delta.denominator * self.RES
-        num, den = base.numerator * dd + delta.numerator * step * bd, bd * dd
-        if not (post_gst or held):
-            gst = sim.gst
-            gd, cd = gst.denominator, delta.denominator
-            if num * gd * cd > (gst.numerator * cd + delta.numerator * gd) * den:
-                return gst + delta
-        return Fraction(num, den)
+        start, unit, den = base.numerator * dd, delta.numerator * bd, bd * dd
+        randrange = sim.rng.randrange
+        if post_gst or held:
+            return [Fraction(start + unit * randrange(1, steps), den) for _ in receivers]
+        # capped at gst + delta: num / den > cap_num / cap_den
+        gd, cd = gst.denominator, delta.denominator
+        cap_num, cap_den = gst.numerator * cd + delta.numerator * gd, gd * cd
+        cap = None
+        out = []
+        for _ in receivers:
+            num = start + unit * randrange(1, steps)
+            if num * cap_den > cap_num * den:
+                if cap is None:
+                    cap = gst + delta
+                out.append(cap)
+            else:
+                out.append(Fraction(num, den))
+        return out
 
 
 class HoldUntilGstPolicy(JitterDelayPolicy):
@@ -112,19 +125,34 @@ class ScheduledReleasePolicy:
     the exact delta delay: the engine's ``sim.latest_delivery``, computed
     once per send instant, so every copy of a broadcast shares one
     delivery-time object. The GST test is the engine's ``sim.post_gst``
-    too. The policy keeps no per-run state, so a config that holds it
-    does not keep any run alive.
+    too; it and the held type are decided once per call. The policy keeps
+    no per-run state, so a config that holds it does not keep any run
+    alive.
     """
 
     def __init__(self, releases: dict[int, Fraction], held_types: tuple):
         self.releases = releases
         self.held_types = held_types
 
-    def deliver_at(self, ev: TraceEvent, sim: Simulation) -> Fraction:
-        if (not sim.post_gst and isinstance(ev.payload, self.held_types)
-                and ev.receiver in self.releases):
-            return max(self.releases[ev.receiver], ev.time)
-        return sim.latest_delivery
+    def deliver_at(self, now: Fraction, payload, receivers,
+                   sim: Simulation) -> list[Fraction]:
+        latest = sim.latest_delivery
+        if sim.post_gst or not isinstance(payload, self.held_types):
+            return [latest] * len(receivers)
+        releases = self.releases
+        nn, nd = now.numerator, now.denominator
+        out = []
+        for receiver in receivers:
+            release = releases.get(receiver)
+            if release is None:
+                out.append(latest)
+            # max(release, now) as an integer cross-product: the release
+            # object unless now is strictly later
+            elif nn * release.denominator > release.numerator * nd:
+                out.append(now)
+            else:
+                out.append(release)
+        return out
 
 
 # --------------------------------------------------------------------------

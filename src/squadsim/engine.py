@@ -35,19 +35,24 @@ exact:
   delivery time: ``now >= gst`` and ``now + delta`` are computed when
   ``now`` changes, before the policy is asked, into the plain attributes
   ``sim.post_gst`` and ``sim.latest_delivery``, which policies read
-  instead of recomputing them per copy. Every delivery time is checked
-  by integer cross-products unless it is the very object the previous
-  copy got, so every illegal send raises; a policy that returns
-  ``latest_delivery`` gives all n copies of a broadcast one shared
-  ``Fraction`` object;
-- a message is one record, its send ``TraceEvent``: the policy reads it,
-  the trace and the queue keep it, and the deliver event is built from it
-  when it pops. A broadcast is one engine call that checks and refreshes
-  once, then gives each copy its own seq, event and policy call, in
-  receiver order. A copy whose policy result is the very object the
-  previous copy got is legal and goes to the same bucket, so a run of
-  such copies costs one legality check and one ``_buckets`` lookup. Every
-  message is one word, in its send event: the trace is the only word tally.
+  instead of recomputing them. Every delivery time is checked by integer
+  cross-products unless it is the very object the previous copy got, so
+  every illegal copy raises; a policy that returns ``latest_delivery``
+  gives all n copies of a broadcast one shared ``Fraction`` object;
+- a send call is one record, its ``trace.SendCall`` log entry: the trace
+  keeps it and every queued copy carries it with the copy's own seq. A
+  broadcast is one engine call that checks and refreshes once, asks the
+  policy once (``deliver_at(now, payload, receivers, sim)``, one time per
+  receiver, in receiver order), then gives each copy its own seq and queue
+  entry, in receiver order. A copy whose time is the very object the
+  previous copy got is legal and goes to the same bucket, so a run of such
+  copies costs one legality check and one ``_buckets`` lookup. A rejected
+  copy spends its seq and raises; the copies before it stay queued and
+  logged (the entry's receivers are cut before it). A delivery is logged
+  as a plain ``(time, pid, seq, sender, payload)`` tuple. No per-copy
+  ``TraceEvent`` is built while a run goes on: ``trace.events`` builds them
+  when read. Every message is one word, in its log entry: the trace is the
+  only word tally.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -70,11 +75,12 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from typing import Optional, Protocol
+from itertools import count
+from typing import Optional, Protocol, Sequence
 
 from .timebase import ClockModel, SimTime
 from .crypto import CryptoSystem
-from .trace import Trace, TraceEvent
+from .trace import SendCall, Trace, TraceEvent
 
 RANK_DELIVERY = 0
 RANK_TIMER = 1
@@ -94,26 +100,28 @@ class ProtocolError(Exception):
     it was handling, and the handler's exception is the ``__cause__``."""
 
 
-def _event_name(tag: str, data) -> str:
+def _event_name(tag: str, seq: int, data) -> str:
     if tag == "deliver":
-        return f"the delivery of #{data.seq} from P{data.sender}"
+        return f"the delivery of #{seq} from P{data.process}"
     if tag == "timer":
         return f"the timer {data[0]}:gen{data[1]}"
     return "its start"
 
 
 class DelayPolicy(Protocol):
-    # receives one copy's send event: ev.time (the send instant), ev.payload, ev.receiver
-    def deliver_at(self, ev: TraceEvent, sim: "Simulation") -> Fraction: ...
+    # asked once per send call: one delivery time per receiver, in receiver order
+    def deliver_at(self, now: Fraction, payload, receivers: Sequence[int],
+                   sim: "Simulation") -> Sequence[Fraction]: ...
 
 
 class MaxDelayPolicy:
-    """The exact delta delay for every send, before GST too (a pre-GST send
+    """The exact delta delay for every copy, before GST too (a pre-GST send
     arrives by GST + delta anyway): ``sim.latest_delivery``, one object per
     send instant."""
 
-    def deliver_at(self, ev: TraceEvent, sim: "Simulation") -> Fraction:
-        return sim.latest_delivery
+    def deliver_at(self, now: Fraction, payload, receivers: Sequence[int],
+                   sim: "Simulation") -> list[Fraction]:
+        return [sim.latest_delivery] * len(receivers)
 
 
 class ProcessContext:
@@ -146,11 +154,11 @@ class ProcessContext:
         self._sim._timer_cancel(self.pid, kind)
 
     def log_advance(self, view: int) -> None:
-        self._sim.trace.events.append(TraceEvent(
+        self._sim.trace.append(TraceEvent(
             self._sim.now, self.pid, "advance", f"v={view}", 0, view))
 
     def log_enter_epoch(self, epoch: int) -> None:
-        self._sim.trace.events.append(TraceEvent(
+        self._sim.trace.append(TraceEvent(
             self._sim.now, self.pid, "enter_epoch", f"e={epoch}", 0, epoch))
 
     def decide(self, value) -> None:
@@ -252,8 +260,8 @@ class Simulation:
             bucket.append(entry)
         return bucket
 
-    def _send(self, sender: int, receivers, payload) -> None:
-        # one send event per copy, in receiver order (see the module docstring)
+    def _send(self, sender: int, receivers: Sequence[int], payload) -> None:
+        # one log entry and one policy call per call (see the module docstring)
         now = self.now
         if now is not self._instant:
             # identity, not equality: a reassigned now is a new instant too.
@@ -265,40 +273,48 @@ class Simulation:
             self.post_gst = nn * gst.denominator >= gst.numerator * nd
             latest = self.latest_delivery = now + self.delta
             self._bounds = (nn, nd, latest.numerator, latest.denominator)
-        kind = "byz" if sender in self.byzantine else "send"
-        policy = self.delay_policy.deliver_at
-        append, enqueue = self.trace.events.append, self._enqueue
-        post_gst, draining = self.post_gst, self._draining
+        times = self.delay_policy.deliver_at(now, payload, receivers, self)
+        if len(times) != len(receivers):
+            raise AdversaryViolation(f"delay policy gave {len(times)} delivery "
+                                     f"times for {len(receivers)} receivers")
+        first = self._seq + 1
+        call = SendCall(now, sender, "byz" if sender in self.byzantine else "send",
+                        1, payload, first, receivers)
+        enqueue, post_gst, draining = self._enqueue, self.post_gst, self._draining
         nn, nd, ln, ld = self._bounds
         # the policy's last result while its bucket takes plain appends: a
         # copy given the same object again is legal and goes to that bucket
         last, bucket = _NO_TIME, None
-        for receiver in receivers:
-            self._seq = seq = self._seq + 1
-            # detail None: TraceEvent.line renders it from the payload
-            ev = TraceEvent(now, sender, kind, None, 1, payload, sender,
-                            receiver, seq)
-            deliver_at = policy(ev, self)
-            if deliver_at is last:
-                append(ev)
-                bucket.append((RANK_DELIVERY, receiver, seq, "deliver", ev))
-                continue
-            last = deliver_at
-            if type(deliver_at) is not Fraction:
-                deliver_at = Fraction(deliver_at)
-            key = dn, dd = deliver_at.numerator, deliver_at.denominator
-            # exact comparisons as integer cross-products (denominators
-            # are positive)
-            if post_gst:
-                if not (nn * dd < dn * nd and dn * ld <= ln * dd):
-                    raise AdversaryViolation(
-                        f"post-GST delay {deliver_at - now} outside (0, delta]")
-            elif dn * nd < nn * dd:
-                raise AdversaryViolation("delivery before send")
-            append(ev)
-            bucket = enqueue(deliver_at, key, (RANK_DELIVERY, receiver, seq, "deliver", ev))
-            if bucket is draining:
-                last = _NO_TIME
+        try:
+            for seq, receiver, deliver_at in zip(count(first), receivers, times):
+                if deliver_at is last:
+                    bucket.append((RANK_DELIVERY, receiver, seq, "deliver", call))
+                    continue
+                last = deliver_at
+                if type(deliver_at) is not Fraction:
+                    deliver_at = Fraction(deliver_at)
+                key = dn, dd = deliver_at.numerator, deliver_at.denominator
+                # exact comparisons as integer cross-products (denominators
+                # are positive)
+                if post_gst:
+                    if not (nn * dd < dn * nd and dn * ld <= ln * dd):
+                        raise AdversaryViolation(
+                            f"post-GST delay {deliver_at - now} outside (0, delta]")
+                elif dn * nd < nn * dd:
+                    raise AdversaryViolation("delivery before send")
+                bucket = enqueue(deliver_at, key,
+                                 (RANK_DELIVERY, receiver, seq, "deliver", call))
+                if bucket is draining:
+                    last = _NO_TIME
+        except AdversaryViolation:
+            # the rejected copy spends its seq; the copies before it stay
+            self._seq = seq
+            if seq > first:
+                call.receivers = receivers[:seq - first]
+                self.trace.append(call)
+            raise
+        self._seq = seq
+        self.trace.append(call)
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
         generation = self.timers[(pid, kind)] = self.timers[(pid, kind)] + 1
@@ -314,8 +330,8 @@ class Simulation:
         self.decisions[pid] = (self.now, value)
         if pid not in self.byzantine:
             self._undecided -= 1
-        self.trace.events.append(TraceEvent(self.now, pid, "decide",
-                                            f"value={value}", 0, value))
+        self.trace.append(TraceEvent(self.now, pid, "decide",
+                                     f"value={value}", 0, value))
 
     # -- run loop ----------------------------------------------------------
 
@@ -328,7 +344,7 @@ class Simulation:
         times, buckets = self._times, self._buckets
         nodes, timers = self.nodes, self.timers
         contexts = {p: self.context(p) for p in range(1, self.n + 1)}
-        append = self.trace.events.append
+        append = self.trace.log.append
         # one handler for the whole loop: it costs nothing until something
         # raises. An exception raised by a handler (not by this frame's own
         # queue checks) becomes a ProtocolError naming the pid and event.
@@ -361,7 +377,7 @@ class Simulation:
                     bucket.sort(reverse=True)
                     self._draining = bucket
                 while True:
-                    _, pid, _, tag, data = bucket.pop()
+                    _, pid, seq, tag, data = bucket.pop()
                     if not bucket:
                         # retire the time now: a handler pushing at this same
                         # time then opens a fresh bucket for it
@@ -371,10 +387,10 @@ class Simulation:
                     node = nodes.get(pid)
                     if node is not None:
                         if tag == "deliver":
-                            # data is the send event: the delivery is built from it
-                            append(TraceEvent(time, pid, "deliver", None, 0,
-                                              data.payload, data.sender, pid, data.seq))
-                            node.on_deliver(contexts[pid], data.sender, data.payload)
+                            # data is the send call's log entry
+                            sender, payload = data.process, data.payload
+                            append((time, pid, seq, sender, payload))
+                            node.on_deliver(contexts[pid], sender, payload)
                         elif tag == "timer":
                             kind, generation = data
                             # skipped if canceled or superseded by a newer measure
@@ -395,4 +411,4 @@ class Simulation:
                 raise
             raise ProtocolError(
                 f"P{pid} raised {type(exc).__name__}: {exc} while handling "
-                f"{_event_name(tag, data)} at t={self.now}") from exc
+                f"{_event_name(tag, seq, data)} at t={self.now}") from exc

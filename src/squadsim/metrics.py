@@ -18,8 +18,8 @@ liveness and word budget.
 
 Every extractor and checker reads a ``TraceIndex``: advances per
 process, first decisions, message records and deliveries, gathered in a
-single pass over ``trace.events`` and cached on the trace (``index_of``).
-No other code here walks the event list. The run facts derived from the
+single pass over ``trace.log`` and cached on the trace (``index_of``).
+No other code here walks the log. The run facts derived from the
 index (correct pids, epoch entries, view intervals, the sync reference
 time, the first stable epoch, t_s, t_d and the epoch entries of the
 synchronizer window) are computed once each, on first read, by a
@@ -27,15 +27,17 @@ synchronizer window) are computed once each, on first read, by a
 values the facts read (n, f, gst, delta, byzantine), not on the config
 object, which builders and tests mutate in place.
 
-A message record stands for the copies of one send call: a broadcast's n
-send events share one sender, kind, payload object, time object and word
-count, and carry consecutive seqs, so the index keeps them as one
-``(first event, copies)`` pair. Every checker that walks sends reads the
-records and weights them by ``copies``; where it reports one line per
-copy, it repeats the line ``copies`` times in the same place, so the
-violation lists are those of a copy-by-copy walk, line for line. Only
-the receiver and the seq tell the copies apart: no checker reads the
-receiver, and the delay check maps each seq of a record back to it.
+A message record stands for the copies of one send call: the engine logs
+each call once, as a ``trace.SendCall`` whose fields are those of its
+first copy's send event, so the index keeps it as one ``(entry, copies)``
+pair; a send event of a hand-built trace is a one-copy record. Every
+checker that walks sends reads the records and weights them by
+``copies``; where it reports one line per copy, it repeats the line
+``copies`` times in the same place, so the violation lists are those of a
+copy-by-copy walk, line for line. Only the receiver and the seq tell the
+copies apart: no checker reads the receiver, and the delay check maps
+each seq of a record back to it. Deliveries are ``(time, pid, seq,
+sender, payload)`` tuples, as the engine logs them.
 
 Exact predicates are decided once per shared input and the verdict is
 replayed to every record or delivery sharing it. Window membership is
@@ -72,7 +74,7 @@ from .consensus import (ANY_VALUE_TAG, PROTOCOLS, CertPhase, Certificate,
 from .crypto import ThresholdSignature
 from .raresync import EnterEpochMsg, EpochCompletedMsg, RareSync, leader
 from .baselines import AllToAllSync
-from .trace import Trace, TraceEvent
+from .trace import SendCall, Trace
 from .viewcore import CoreMessage, QuorumCertificate, vote_message
 
 # the payload classes each layer owns, as its node routes them
@@ -84,66 +86,56 @@ CERT_MESSAGE_TYPES = CertPhase.MESSAGES
 # Trace index and run facts
 # --------------------------------------------------------------------------
 
-# a payload no event carries: it ends the open message record
-_NO_RECORD = object()
-
-
 class TraceIndex:
-    """The events every extractor and checker needs, grouped in one pass.
+    """The log entries every extractor and checker needs, in one pass.
 
-    ``messages`` holds one ``(first event, copies)`` record per run of
-    ``send``/``byz`` events with one process, kind, payload object, time
-    object and word count, consecutive seqs and no other event between
-    them: the copies of one send call. An event without a seq is a record
-    of its own. ``sends`` keeps the records of correct processes (kind
+    ``messages`` holds one ``(entry, copies)`` record per send call: a
+    ``SendCall`` with its receiver count, or a hand-built ``send``/``byz``
+    event with 1. ``sends`` keeps the records of correct processes (kind
     ``send``); both lists keep trace order, and their records are shared.
+    ``delivers`` holds every delivery as a ``(time, pid, seq, sender,
+    payload)`` tuple, a hand-built deliver event converted to one.
     """
 
     def __init__(self, trace: Trace):
-        self.size = len(trace.events)
+        log = trace.log
+        self.size = len(log)
         self.advances: dict[int, list[tuple[Fraction, int]]] = {}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
-        self.messages: list[tuple[TraceEvent, int]] = []
-        self.delivers: list[TraceEvent] = []
+        self.messages: list[tuple] = []
+        self.delivers: list[tuple] = []
         self.facts: Optional[RunFacts] = None
-        messages = self.messages
-        first, copies, payload, nxt = None, 0, _NO_RECORD, None
-        for ev in trace.events:
-            kind = ev.kind
-            if kind == "deliver":
-                payload = _NO_RECORD
-                self.delivers.append(ev)
-            elif kind == "send" or kind == "byz":
-                # payload first: most events that do not extend the open
-                # record fail this one comparison
-                if (ev.payload is payload and ev.seq == nxt and ev.time is first.time
-                        and ev.process == first.process and kind == first.kind
-                        and ev.words == first.words):
-                    copies += 1
-                    nxt += 1
-                    continue
-                if first is not None:
-                    messages.append((first, copies))
-                first, copies, payload = ev, 1, ev.payload
-                # a missing seq never extends a record: _NO_RECORD equals no seq
-                nxt = _NO_RECORD if ev.seq is None else ev.seq + 1
+        messages, delivers = self.messages, self.delivers
+        for entry in log:
+            cls = type(entry)
+            if cls is tuple:
+                delivers.append(entry)
+            elif cls is SendCall:
+                messages.append((entry, len(entry.receivers)))
             else:
-                payload = _NO_RECORD
-                if kind == "advance":
-                    self.advances.setdefault(ev.process, []).append((ev.time, ev.payload))
+                kind = entry.kind
+                if kind == "deliver":
+                    delivers.append((entry.time, entry.process, entry.seq,
+                                     entry.sender, entry.payload))
+                elif kind == "send" or kind == "byz":
+                    messages.append((entry, 1))
+                elif kind == "advance":
+                    self.advances.setdefault(entry.process, []).append(
+                        (entry.time, entry.payload))
                 elif kind == "decide":
-                    self.decisions.setdefault(ev.process, (ev.time, ev.payload))
-        if first is not None:
-            messages.append((first, copies))
-        self.sends: list[tuple[TraceEvent, int]] = [
-            record for record in messages if record[0].kind == "send"]
-        self.end_time = trace.events[-1].time if trace.events else Fraction(0)
+                    self.decisions.setdefault(entry.process, (entry.time, entry.payload))
+        self.sends: list[tuple] = [record for record in messages
+                                   if record[0].kind == "send"]
+        self.end_time = Fraction(0)
+        if log:
+            last = log[-1]   # a delivery tuple starts with its time
+            self.end_time = last[0] if type(last) is tuple else last.time
 
 
 def index_of(trace: Trace) -> TraceIndex:
-    """The trace's cached index, rebuilt when events were appended since."""
+    """The trace's cached index, rebuilt when entries were appended since."""
     index = trace.index
-    if index is None or index.size != len(trace.events):
+    if index is None or index.size != len(trace.log):
         index = trace.index = TraceIndex(trace)
     return index
 
@@ -574,13 +566,13 @@ def check_message_words(trace, cfg, crypto):
 def check_delay_bounds(trace, cfg, crypto):
     out = []
     index = index_of(trace)
-    # by_seq[seq - low] is the first event of the record that sent seq,
-    # filled one slice per record; a later record wins a reused seq
+    # by_seq[seq - low] is the entry of the record that sent seq, filled
+    # one slice per record; a later record wins a reused seq
     numbered = [(ev.seq, ev, copies) for ev, copies in index.messages
                 if ev.seq is not None]
     low = min([seq for seq, _, _ in numbered], default=0)
     high = max([seq + copies for seq, _, copies in numbered], default=0)
-    by_seq: list[Optional[TraceEvent]] = [None] * (high - low)
+    by_seq: list = [None] * (high - low)
     for seq, ev, copies in numbered:
         by_seq[seq - low:seq - low + copies] = [ev] * copies
     gn, gd = cfg.gst.numerator, cfg.gst.denominator
@@ -589,17 +581,16 @@ def check_delay_bounds(trace, cfg, crypto):
     # delivered); consecutive deliveries of one broadcast share both time
     # objects, so it is decided again only when one of them changes
     sent_time = delivered = verdict = None
-    for ev in index.delivers:
-        seq = ev.seq
+    for dt, _, seq, sender, _ in index.delivers:
         sent = by_seq[seq - low] if seq is not None and low <= seq < high else None
         if sent is None:
             out.append(f"delay_bounds: envelope #{seq} delivered but never sent")
             continue
-        if ev.sender != sent.process:
+        if sender != sent.process:
             out.append(f"delay_bounds: envelope #{seq} delivered from "
-                       f"P{ev.sender} but sent by P{sent.process}")
+                       f"P{sender} but sent by P{sent.process}")
             continue
-        st, dt = sent.time, ev.time
+        st = sent.time
         if st is not sent_time or dt is not delivered:
             sent_time, delivered = st, dt
             sn, sd = st.numerator, st.denominator

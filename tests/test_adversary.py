@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from squadsim.adversary import (STRATEGIES, CertAttackNode, EquivocatingCore,
-                                JitterDelayPolicy, RandomizedPolicy, SilentNode,
+                                JitterDelayPolicy, RandomizedPolicy,
+                                ScheduledReleasePolicy, SilentNode,
                                 SpamEnterEpochNode, custom_file, equivocate,
                                 happy, randomized, scenario_s, worst_case)
 from squadsim.consensus import ProtocolNode
@@ -247,3 +248,21 @@ def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
         queued = sorted((entry[4].seq, at[key]) for key, bucket in sim._buckets.items()
                         for entry in bucket if entry[3] == "deliver")
         assert [deliver_at for _, deliver_at in queued] == expected
+
+
+def test_scheduled_release_returns_the_release_object_unless_now_is_later():
+    # max(release, now) decided by integer cross-products: the very release
+    # object unless the send instant is strictly later, then the instant
+    now = Fraction(10)
+    before, at, after = Fraction(8), Fraction(20, 2), Fraction(12)
+    assert at == now and at is not now
+    policy = ScheduledReleasePolicy({1: before, 2: at, 3: after}, (HeldNote,))
+    sim = Simulation(4, 1, Fraction(50), Fraction(1), policy)
+    sim.post_gst, sim.latest_delivery = False, now + 1
+    got = policy.deliver_at(now, HeldNote("x"), range(1, 5), sim)
+    assert [id(t) for t in got] == [id(now), id(at), id(after), id(sim.latest_delivery)]
+    # a type that is not held, or a send at or after GST, gets latest_delivery
+    for payload, post_gst in ((Note("x"), False), (HeldNote("x"), True)):
+        sim.post_gst = post_gst
+        got = policy.deliver_at(now, payload, (3, 1), sim)
+        assert [id(t) for t in got] == [id(sim.latest_delivery)] * 2

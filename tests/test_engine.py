@@ -59,11 +59,13 @@ def drain(sim, horizon=Fraction(1000)):
 
 
 def queued_deliveries(sim):
-    """(send event, delivery time) per queued copy. The time is the object
-    the copy's bucket holds in the time heap: the one its deliver event
-    will carry."""
+    """(send event, delivery time) per queued copy. The event is built from
+    the send call's log entry and the copy's seq, both in the queue entry;
+    the time is the object the copy's bucket holds in the time heap: the
+    one its deliver event will carry."""
     at = {(t.numerator, t.denominator): t for _, t in sim._times}
-    return [(entry[4], at[key]) for key, bucket in sim._buckets.items()
+    return [(entry[4].copy_event(entry[2] - entry[4].seq), at[key])
+            for key, bucket in sim._buckets.items()
             for entry in bucket if entry[3] == "deliver"]
 
 
@@ -212,8 +214,8 @@ def test_timer_integrates_local_clock():
 
 def test_post_gst_delay_bound_enforced():
     class BadPolicy:
-        def deliver_at(self, ev, sim):
-            return ev.time + 2 * sim.delta
+        def deliver_at(self, now, payload, receivers, sim):
+            return [now + 2 * sim.delta for _ in receivers]
 
     sim, _ = make_sim(policy=BadPolicy())
     drain(sim, horizon=Fraction(15))
@@ -224,8 +226,8 @@ def test_post_gst_delay_bound_enforced():
 
 def test_pre_gst_delay_only_needs_finiteness():
     class SlowPolicy:
-        def deliver_at(self, env, sim):
-            return sim.gst + sim.delta  # legal for pre-GST sends
+        def deliver_at(self, now, payload, receivers, sim):
+            return [sim.gst + sim.delta] * len(receivers)  # legal for pre-GST sends
 
     sim, nodes = make_sim(policy=SlowPolicy())
     sim.context(1).send(2, Ping("held"))
@@ -235,13 +237,13 @@ def test_pre_gst_delay_only_needs_finiteness():
 
 
 class ScriptedPolicy:
-    """Returns the planned delivery times in order, one per send."""
+    """Returns the planned delivery times in order, one per copy."""
 
     def __init__(self, *times):
         self.times = list(times)
 
-    def deliver_at(self, env, sim):
-        return self.times.pop(0)
+    def deliver_at(self, now, payload, receivers, sim):
+        return [self.times.pop(0) for _ in receivers]
 
 
 def test_illegal_send_after_a_legal_one_in_the_same_instant_raises():
@@ -318,15 +320,16 @@ def test_broadcast_copies_share_one_delivery_time_object():
 
 
 class RecordingPolicy:
-    """Exact delta delays; records each send event it is asked about, with
+    """Exact delta delays; records each send call it is asked about, with
     the per-instant values it reads at that call."""
 
     def __init__(self):
         self.seen = []
 
-    def deliver_at(self, ev, sim):
-        self.seen.append((ev, ev.receiver, ev.seq, sim.post_gst, sim.latest_delivery))
-        return sim.latest_delivery
+    def deliver_at(self, now, payload, receivers, sim):
+        self.seen.append((now, payload, list(receivers), sim.post_gst,
+                          sim.latest_delivery))
+        return [sim.latest_delivery] * len(receivers)
 
 
 def test_broadcast_copies_are_distinct_send_events_in_receiver_order():
@@ -341,10 +344,15 @@ def test_broadcast_copies_are_distinct_send_events_in_receiver_order():
     assert len({id(ev) for ev in sends}) == 4
     assert {(ev.time, ev.process, ev.sender, ev.words, ev.payload)
             for ev in sends} == {(Fraction(20), 2, 2, 1, Ping("all"))}
-    # one policy call per copy, in receiver order, about that copy's event
-    assert [(id(ev), r, s) for ev, r, s, _, _ in policy.seen] == \
-        [(id(ev), ev.receiver, ev.seq) for ev in sends]
-    assert sorted(id(ev) for ev, _ in queued_deliveries(sim)) == sorted(map(id, sends))
+    # one policy call per send call, about every receiver in receiver order
+    assert [(now, payload, receivers) for now, payload, receivers, _, _ in policy.seen] \
+        == [(Fraction(20), Ping("all"), [ev.receiver for ev in sends])]
+    assert sorted((ev.receiver, ev.seq) for ev, _ in queued_deliveries(sim)) == \
+        [(ev.receiver, ev.seq) for ev in sends]
+    # the queued copies and the trace share the call's one log entry
+    calls = {id(entry[4]) for bucket in sim._buckets.values() for entry in bucket
+             if entry[3] == "deliver"}
+    assert len(calls) == 1 and calls <= {id(entry) for entry in sim.trace.log}
     delivers = [ev for ev in drain(sim).events if ev.kind == "deliver"]
     assert sorted((ev.process, ev.sender, ev.receiver, ev.seq) for ev in delivers) == \
         [(ev.receiver, 2, ev.receiver, ev.seq) for ev in sends]
@@ -369,7 +377,7 @@ def test_each_broadcast_reads_the_instant_it_is_made_at():
     sim.now = Fraction(5)   # an equal time, but a new object: a new instant
     sim.context(1).broadcast(Ping("again"))
     assert [(post_gst, latest) for *_, post_gst, latest in policy.seen] == \
-        [(False, Fraction(6))] * 4 + [(True, Fraction(51))] * 4 + [(False, Fraction(6))] * 4
+        [(False, Fraction(6)), (True, Fraction(51)), (False, Fraction(6))]
 
 
 @pytest.mark.parametrize("k", [1, 3, 4])
@@ -385,6 +393,22 @@ def test_violation_at_copy_k_keeps_only_the_copies_before_it(k):
     assert [(ev.kind, ev.receiver) for ev in logged] == [("send", r) for r in range(1, k)]
     assert sorted(ev.receiver for ev, _ in queued_deliveries(sim)) == list(range(1, k))
     assert sim._seq == seq0 + k   # the failing copy's seq is spent
+
+
+def test_policy_giving_the_wrong_number_of_times_is_refused():
+    class OneTimePolicy:
+        def deliver_at(self, now, payload, receivers, sim):
+            return [now + sim.delta]
+
+    # one time for a four-copy broadcast: no copy may go missing unnoticed
+    sim, _ = make_sim(policy=OneTimePolicy())
+    drain(sim, horizon=Fraction(15))
+    sim.now = Fraction(50)
+    before, seq0 = len(sim.trace.log), sim._seq
+    with pytest.raises(AdversaryViolation, match="1 delivery times for 4 receivers"):
+        sim.context(1).broadcast(Ping("short"))
+    assert sim._seq == seq0 and len(sim.trace.log) == before
+    assert not sim._buckets
 
 
 def test_rejected_send_consumes_no_seq_and_logs_nothing():
@@ -601,8 +625,8 @@ class PlannedDelivery:
     def __init__(self):
         self.times = iter(())
 
-    def deliver_at(self, ev, sim):
-        return next(self.times)
+    def deliver_at(self, now, payload, receivers, sim):
+        return [next(self.times) for _ in receivers]
 
 
 def planned_copies(now, action):
@@ -720,8 +744,8 @@ class FixedDelivery:
     def __init__(self, at):
         self.at = at
 
-    def deliver_at(self, env, sim):
-        return self.at
+    def deliver_at(self, now, payload, receivers, sim):
+        return [self.at] * len(receivers)
 
 
 @given(exact_cases())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from squadsim import (build_report, build_simulation, happy, randomized,
-                      run_scenario, worst_case)
+                      run_scenario, scenario_s, worst_case)
 from squadsim.baselines import WishMsg
 from squadsim.consensus import (AllowAnyMsg, Certificate, CertificateMsg,
                                 DiscloseMsg, value_message)
@@ -539,7 +539,7 @@ def _per_copy(trace, cfg, crypto):
     def alone(check):
         # a check whose lines are per copy, run on each copy by itself
         return [line for ev in emitted
-                for line in check(Trace(rest.events + [ev]), cfg, crypto)]
+                for line in check(Trace(list(rest.events) + [ev]), cfg, crypto)]
 
     def window(lo, hi, types=object):
         return sum(ev.words for ev in sends if lo <= ev.time
@@ -629,6 +629,22 @@ def test_records_cover_every_copy_of_a_real_run(cfg):
     assert sum(copies for _, copies in index.messages) == len(emitted)
     # broadcasts are grouped: fewer records than copies
     assert len(index.messages) < len(emitted)
+
+
+@pytest.mark.parametrize("cfg", [worst_case(13, 0, "squad"), worst_case(13, 0, "alltoall"),
+                                 scenario_s(7, 0),
+                                 *(randomized(4, seed) for seed in range(20))],
+                         ids=lambda cfg: f"{cfg.name}-{cfg.protocol}-{cfg.n}-s{cfg.seed}")
+def test_logged_and_hand_built_forms_give_one_trace_and_report(cfg):
+    # the engine's log (one entry per send call, one tuple per delivery)
+    # against the same run as one TraceEvent per line
+    result = run_scenario(cfg)
+    rebuilt = Trace(events=list(result.trace.events))
+    assert all(isinstance(entry, TraceEvent) for entry in rebuilt.log)
+    assert rebuilt.serialize() == result.trace.serialize()
+    report = build_report(rebuilt, cfg, result.simulation.crypto)
+    assert report.csv_row() == result.report.csv_row()
+    assert report.violations == result.report.violations
 
 
 def test_planted_registry_covers_every_checker():

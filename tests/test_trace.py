@@ -1,6 +1,7 @@
 """The streamed trace: ``serialize()``, ``write(fp)`` and ``sha256()`` give
 the same bytes, render each time and payload once, and writing holds one
-block of text at a time."""
+block of text at a time. The engine logs one entry per send call and one
+tuple per delivery; ``trace.events`` builds the per-line events when read."""
 
 import functools
 import hashlib
@@ -13,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from squadsim import adversary, run_scenario, worst_case
-from squadsim.trace import BLOCK_LINES, Trace, TraceEvent
+from squadsim.engine import MaxDelayPolicy
+from squadsim.trace import BLOCK_LINES, SendCall, Trace, TraceEvent
 
 PROTOCOLS = ("raresync-quad", "squad", "alltoall", "doubling")
 BUILDERS = {**adversary.BUILDERS,
@@ -116,3 +118,31 @@ def test_writing_holds_one_block_and_serialize_one_copy():
     # the blocks plus the joined text; no per-line list of the whole trace
     assert serialize_peak <= 2.2 * length, (serialize_peak, length)
     assert write_peak < serialize_peak / 2, (write_peak, serialize_peak)
+
+
+def test_log_keeps_one_entry_per_send_call_and_events_are_built_when_read(monkeypatch):
+    asked = []   # receivers per delay-policy call
+    original = MaxDelayPolicy.deliver_at
+
+    def counting(self, now, payload, receivers, sim):
+        asked.append(list(receivers))
+        return original(self, now, payload, receivers, sim)
+
+    monkeypatch.setattr(MaxDelayPolicy, "deliver_at", counting)
+    trace = run_scenario(worst_case(13, 0, "alltoall")).trace
+    monkeypatch.undo()
+    assert not [entry for entry in trace.log if isinstance(entry, TraceEvent)
+                and entry.kind in ("send", "byz", "deliver")]
+    calls = [entry for entry in trace.log if type(entry) is SendCall]
+    assert asked == [list(call.receivers) for call in calls] and calls
+    events = trace.events
+    listed = list(events)
+    assert len(events) == len(listed) == trace.serialize().count("\n")
+    picks = [*range(0, len(listed), 97), -1, -len(listed)]
+    assert [events[i] for i in picks] == [listed[i] for i in picks]
+    for cut in (slice(None), slice(5, 500, 7), slice(-40, None),
+                slice(None, None, -3), slice(300, 10, -11), slice(10, 5)):
+        assert events[cut] == listed[cut]
+    for out_of_range in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            events[out_of_range]

@@ -5,8 +5,9 @@ wraps ``deliver_at`` on the class that defines it. A pinned class that is
 deleted breaks ``perfbench/run.py --trace 1``; one that becomes an alias
 of another pinned class is wrapped twice and counts each call twice. One
 small run per delay-policy class checks that ``adversary.delay`` records
-exactly one span per send, and that ``uninstall`` puts every original
-back. The tracer's source is read, never imported from its directory, so
+exactly one span per send call (the engine asks the policy once per call,
+and logs each call as one ``SendCall``), and that ``uninstall`` puts every
+original back. The tracer's source is read, never imported from its directory, so
 nothing is written there.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from squadsim import adversary, engine, run_scenario
+from squadsim.trace import SendCall
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -61,8 +63,8 @@ def test_one_delay_span_per_send_and_clean_uninstall(policy, build):
     finally:
         tracer.uninstall()
     delays = sum(1 for span in tracer.spans if span[0] == "adversary.delay")
-    sends = sum(1 for ev in trace.events if ev.kind in ("send", "byz"))
-    assert delays == sends > 0
+    calls = sum(1 for entry in trace.log if type(entry) is SendCall)
+    assert delays == calls > 0
     for owner, key, original in before:
         if isinstance(owner, dict):
             assert owner[key] is original, key
