@@ -22,6 +22,11 @@ For every workload and end-to-end metric of BENCHMARK.json it writes, to
   metric's bound; ``unresolved`` when the parent's own spread is wider
   than the bound and not every change run beats every parent run;
   ``no regression`` otherwise;
+- each benchmark run's wall seconds (``wall_s``: the whole
+  ``perfbench/run.py`` process, set-up and output gate included, not only
+  its timed runs), per side and workload with their median, and per side
+  the sum of the workloads' medians, so a comparison shows whether the
+  change lengthens the benchmark;
 - both commit SHAs, the Python version and ``nproc``.
 
 The script exits 1 when any workload's verdict is ``gate failed``, and 2,
@@ -47,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 from typing import NoReturn
 
@@ -72,8 +78,10 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON summary line of one benchmark run. Exit 1, a failed output
-    gate, still gives one: its ``failed`` count decides the verdict."""
+    """The JSON summary line of one benchmark run, with the run's wall
+    seconds added as ``wall_s``. Exit 1, a failed output gate, still gives
+    one: its ``failed`` count decides the verdict."""
+    start = time.monotonic()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -81,7 +89,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode not in (0, 1) or not done.stdout.strip():
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
                            f"{done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    summary["wall_s"] = time.monotonic() - start
+    return summary
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -120,6 +130,10 @@ def summarize(runs: dict[str, list[dict]], first_side: list[str],
     entry = {"first_side": first_side, "metrics": {}}
     for field in ("correct", "attempted", "failed"):
         entry[field] = {side: [r[field] for r in runs[side]] for side in runs}
+    entry["wall_s"] = {}
+    for side in runs:
+        walls = [r["wall_s"] for r in runs[side]]
+        entry["wall_s"][side] = {"median": statistics.median(walls), "runs": walls}
     gate_failed = any(entry["failed"]["change"])
     for m in metrics:
         values = {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
@@ -207,6 +221,9 @@ def main(argv=None) -> int:
                           f"{out['metrics']['events_per_s']['value']:.0f}",
                           flush=True)
             record["workloads"][workload] = summarize(runs, order, metrics)
+    record["wall_s"] = {side: sum(entry["wall_s"][side]["median"]
+                                  for entry in record["workloads"].values())
+                        for side in ("parent", "change")}
 
     out_path = ROOT / f"BENCH_{args.label}.json"
     out_path.write_text(json.dumps(record, indent=1) + "\n")
@@ -216,6 +233,11 @@ def main(argv=None) -> int:
                   f"change {c['change']['median']:.6g} "
                   f"x{c['change_over_parent']:.3f} won {c['pairs_won']}/{c['pairs']} "
                   f"{c['verdict']}")
+        wall = entry["wall_s"]
+        print(f"{workload:15s} {'wall_s':13s} parent {wall['parent']['median']:.1f} "
+              f"change {wall['change']['median']:.1f} (median per run)")
+    print(f"{'all workloads':15s} {'wall_s':13s} parent {record['wall_s']['parent']:.1f} "
+          f"change {record['wall_s']['change']:.1f} (sum of medians)")
     print(f"wrote {out_path}")
     failed = [w for w, e in record["workloads"].items() if any(e["failed"]["change"])]
     if failed:

@@ -20,6 +20,7 @@ validity to validity.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -160,10 +161,16 @@ class ProtocolNode:
     Each layer names the payload classes it owns in ``MESSAGES``;
     ``_handlers`` maps the classes of the current phase to their owner's
     ``on_message``: none before start, the cert phase's until it exits, then
-    the synchronizer's and the view core's. ``_on_advance`` logs each view
-    entry. One hold buffer keeps, in arrival order, what the current phase
-    does not handle until consensus starts; after that such a payload is
-    dropped."""
+    the synchronizer's and the view core's. The synchronizer's ``advance``
+    callback logs each view entry. One hold buffer keeps, in arrival order,
+    what the current phase does not handle until consensus starts; after
+    that such a payload is dropped.
+
+    No layer holds a strong reference to the node: ``advance`` closes over
+    the view core and the cert phase reaches ``_start_consensus`` through a
+    weak reference. So a finished run makes no reference cycle, and its
+    nodes and the crypto ledger's signatures are freed with its last
+    reference, without the cycle collector."""
 
     def __init__(self, pid: int, n: int, f: int, crypto: CryptoSystem,
                  proposal, synchronizer: str, delta: Fraction,
@@ -176,17 +183,26 @@ class ProtocolNode:
         self.core = core_factory(pid, n, f, crypto,
                                  on_decide=lambda ctx, v: ctx.decide(v),
                                  cert_validator=validator)
+        core = self.core
+
+        def advance(ctx, view: int) -> None:
+            ctx.log_advance(view)
+            core.start_executing(ctx, view)
+
         if synchronizer == "raresync":
-            self.sync = RareSync(pid, f, delta, view_duration,
-                                 advance=self._on_advance)
+            self.sync = RareSync(pid, f, delta, view_duration, advance=advance)
         elif synchronizer == "alltoall":
-            self.sync = AllToAllSync(f, view_duration, advance=self._on_advance)
+            self.sync = AllToAllSync(f, view_duration, advance=advance)
         elif synchronizer == "doubling":
-            self.sync = DoublingSync(advance=self._on_advance)
+            self.sync = DoublingSync(advance=advance)
         else:
             raise ValueError(f"unknown synchronizer {synchronizer!r}")
-        self.cert_phase = (CertPhase(pid, f, proposal, self._start_consensus)
-                           if certified else None)
+        if certified:
+            start = weakref.WeakMethod(self._start_consensus)
+            self.cert_phase = CertPhase(pid, f, proposal,
+                                        lambda *args: start()(*args))
+        else:
+            self.cert_phase = None
         self._running = False
         self._handlers: dict[type, Callable] = {}
         self._held: list = []   # (sender, payload) not yet handled
@@ -194,10 +210,6 @@ class ProtocolNode:
     @staticmethod
     def _handlers_of(*layers) -> dict[type, Callable]:
         return {cls: layer.on_message for layer in layers for cls in layer.MESSAGES}
-
-    def _on_advance(self, ctx, view: int) -> None:
-        ctx.log_advance(view)
-        self.core.start_executing(ctx, view)
 
     def _start_consensus(self, ctx, value, cert) -> None:
         self.core.init(self.proposal if value is None else value, cert)

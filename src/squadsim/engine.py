@@ -48,11 +48,14 @@ exact:
   previous copy got is legal and goes to the same bucket, so a run of such
   copies costs one legality check and one ``_buckets`` lookup. A rejected
   copy spends its seq and raises; the copies before it stay queued and
-  logged (the entry's receivers are cut before it). A delivery is logged
-  as a plain ``(time, pid, seq, sender, payload)`` tuple. No per-copy
-  ``TraceEvent`` is built while a run goes on: ``trace.events`` builds them
-  when read. Every message is one word, in its log entry: the trace is the
-  only word tally.
+  logged (the entry's receivers are cut before it). The run loop logs
+  each instant once, as the ``Fraction`` itself, when it starts draining a
+  time bucket, and each delivery as its seq, the int the queue entry
+  holds: the call that owns the seq has its pid, sender and payload. So a
+  delivery allocates nothing that outlives its handler, and no per-copy
+  ``TraceEvent`` is built while a run goes on: ``trace.events`` builds
+  them when read. Every message is one word, in its log entry: the trace
+  is the only word tally.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public
@@ -64,8 +67,10 @@ Local computation takes zero simulated time: everything a handler emits
 while processing one event happens at the same instant. An exception a
 handler raises ends the run as a ``ProtocolError`` that names the process
 and the event it was handling; an ``AdversaryViolation`` passes unchanged.
-The simulation keeps no ``ProcessContext``: ``run`` makes its own, so a
-finished run holds no reference cycle and is freed with its last reference.
+The simulation keeps no ``ProcessContext``: ``run`` makes its own. With
+``consensus.ProtocolNode``, whose layers hold no reference to their node,
+a finished run holds no reference cycle and is freed with its last
+reference.
 """
 
 from __future__ import annotations
@@ -370,6 +375,8 @@ class Simulation:
                 assert tn * now.denominator >= now.numerator * td, \
                     "event queue went backwards"
                 self.now = time
+                # the instant, once: the deliveries that follow are at it
+                append(time)
                 bucket = buckets[key]
                 if len(bucket) > 1:
                     # sorted once, in descending order, and drained from the
@@ -387,10 +394,10 @@ class Simulation:
                     node = nodes.get(pid)
                     if node is not None:
                         if tag == "deliver":
-                            # data is the send call's log entry
-                            sender, payload = data.process, data.payload
-                            append((time, pid, seq, sender, payload))
-                            node.on_deliver(contexts[pid], sender, payload)
+                            # data is the send call's log entry, which
+                            # owns seq: the log needs no more than seq
+                            append(seq)
+                            node.on_deliver(contexts[pid], data.process, data.payload)
                         elif tag == "timer":
                             kind, generation = data
                             # skipped if canceled or superseded by a newer measure

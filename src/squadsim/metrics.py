@@ -36,8 +36,10 @@ checker that walks sends reads the records and weights them by
 ``copies`` times in the same place, so the violation lists are those of a
 copy-by-copy walk, line for line. Only the receiver and the seq tell the
 copies apart: no checker reads the receiver, and the delay check maps
-each seq of a record back to it. Deliveries are ``(time, pid, seq,
-sender, payload)`` tuples, as the engine logs them.
+each seq of a record back to it. Deliveries are kept as logged: the
+engine's instants and delivered seqs (a seq is at the instant before it,
+and names its sender only through the call that owns it), and hand-built
+deliver events.
 
 Exact predicates are decided once per shared input and the verdict is
 replayed to every record or delivery sharing it. Window membership is
@@ -93,8 +95,10 @@ class TraceIndex:
     ``SendCall`` with its receiver count, or a hand-built ``send``/``byz``
     event with 1. ``sends`` keeps the records of correct processes (kind
     ``send``); both lists keep trace order, and their records are shared.
-    ``delivers`` holds every delivery as a ``(time, pid, seq, sender,
-    payload)`` tuple, a hand-built deliver event converted to one.
+    ``delivers`` holds the log's deliveries in trace order, as logged: the
+    engine's instants (``Fraction``) and delivered seqs (``int``, each at
+    the instant before it), and hand-built deliver events. ``end_time`` is
+    the time of the last line.
     """
 
     def __init__(self, trace: Trace):
@@ -103,20 +107,19 @@ class TraceIndex:
         self.advances: dict[int, list[tuple[Fraction, int]]] = {}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
         self.messages: list[tuple] = []
-        self.delivers: list[tuple] = []
+        self.delivers: list = []
         self.facts: Optional[RunFacts] = None
         messages, delivers = self.messages, self.delivers
         for entry in log:
             cls = type(entry)
-            if cls is tuple:
+            if cls is int or cls is Fraction:
                 delivers.append(entry)
             elif cls is SendCall:
                 messages.append((entry, len(entry.receivers)))
             else:
                 kind = entry.kind
                 if kind == "deliver":
-                    delivers.append((entry.time, entry.process, entry.seq,
-                                     entry.sender, entry.payload))
+                    delivers.append(entry)
                 elif kind == "send" or kind == "byz":
                     messages.append((entry, 1))
                 elif kind == "advance":
@@ -126,10 +129,24 @@ class TraceIndex:
                     self.decisions.setdefault(entry.process, (entry.time, entry.payload))
         self.sends: list[tuple] = [record for record in messages
                                    if record[0].kind == "send"]
-        self.end_time = Fraction(0)
-        if log:
-            last = log[-1]   # a delivery tuple starts with its time
-            self.end_time = last[0] if type(last) is tuple else last.time
+        self.end_time = _end_time(log)
+
+
+def _end_time(log: list) -> Fraction:
+    """The time of the log's last line. An instant has no line, and a
+    delivered seq is at the instant before it; every entry between the two
+    is at that instant too."""
+    delivery = False
+    for entry in reversed(log):
+        cls = type(entry)
+        if cls is int:
+            delivery = True
+        elif cls is Fraction:
+            if delivery:
+                return entry
+        else:
+            return entry.time
+    return Fraction(0)
 
 
 def index_of(trace: Trace) -> TraceIndex:
@@ -581,14 +598,24 @@ def check_delay_bounds(trace, cfg, crypto):
     # delivered); consecutive deliveries of one broadcast share both time
     # objects, so it is decided again only when one of them changes
     sent_time = delivered = verdict = None
-    for dt, _, seq, sender, _ in index.delivers:
+    now = None   # the current instant of the engine's log
+    for entry in index.delivers:
+        cls = type(entry)
+        if cls is int:
+            seq, dt = entry, now
+        elif cls is Fraction:
+            now = entry
+            continue
+        else:   # a hand-built deliver event
+            seq, dt = entry.seq, entry.time
         sent = by_seq[seq - low] if seq is not None and low <= seq < high else None
         if sent is None:
             out.append(f"delay_bounds: envelope #{seq} delivered but never sent")
             continue
-        if sender != sent.process:
+        # a logged seq names its sender only through the call that owns it
+        if cls is not int and entry.sender != sent.process:
             out.append(f"delay_bounds: envelope #{seq} delivered from "
-                       f"P{sender} but sent by P{sent.process}")
+                       f"P{entry.sender} but sent by P{sent.process}")
             continue
         st = sent.time
         if st is not sent_time or dt is not delivered:

@@ -5,27 +5,33 @@ with its exact global time and word cost. The line format
 ``time|process|kind|detail|words`` is fixed; replaying a (config, seed)
 pair must reproduce the serialized trace byte for byte.
 
-A ``Trace`` holds ``log``, a list of what the engine did, in trace order:
+A ``Trace`` holds ``log``, a list of what the engine did, in trace order,
+as four kinds of entry:
 
 - a ``SendCall`` per send call: the fields its copies share (time, sender,
   kind, words, payload, first seq) once, and its receivers, the ``range``
   or tuple the call got. Copy i goes to ``receivers[i]`` with seq
   ``seq + i`` and is one ``send`` (or ``byz``) line;
-- a plain ``(time, pid, seq, sender, payload)`` tuple per delivery, one
-  ``deliver`` line;
+- an ``int`` per delivery, the delivered copy's seq: one ``deliver`` line.
+  Its pid, sender and payload are those of the ``SendCall`` that owns the
+  seq (copy ``seq - call.seq``), which precedes it in the log;
+- a ``Fraction`` per instant, logged when the engine starts draining a
+  time bucket: the time of the deliveries that follow it. It is no line
+  itself, and an instant whose events log nothing leaves it alone;
 - a ``TraceEvent`` for everything else (timers, advances, epoch entries,
   decisions) and for every event of a trace built by hand, which may hold
   send and deliver events too: ``Trace(events)`` and ``append`` keep them
   as they are.
 
-``trace.events`` is a read-only sequence of one ``TraceEvent`` per line,
-built from the log when read: it supports ``len``, iteration, indexing and
-slicing, and keeps no list of events. Message lines carry no detail
-string: it is rendered from the payload when the line is written, which is
-exact because every payload is immutable (frozen dataclasses, ints,
-strings). Events and log entries keep a reference to the structured
-payload they describe, so post-hoc checkers inspect messages without
-parsing detail strings.
+Every reader resolves the seqs to their calls in its one pass over the
+log, through a list indexed by seq. ``trace.events`` is a read-only
+sequence of one ``TraceEvent`` per line, built from the log when read:
+it supports ``len``, iteration, indexing and slicing, and keeps no list of
+events. Message lines carry no detail string: it is rendered from the
+payload when the line is written, which is exact because every payload is
+immutable (frozen dataclasses, ints, strings). Events and log entries keep
+a reference to the structured payload they describe, so post-hoc checkers
+inspect messages without parsing detail strings.
 
 A ``Trace`` holds only its log, whether the run stopped at its horizon,
 and the index the metrics cache on it. It keeps no copy of the run's
@@ -111,20 +117,13 @@ class SendCall:
                           self.payload, self.process, self.receivers[i], self.seq + i)
 
 
-def _delivery(entry: tuple) -> TraceEvent:
-    time, pid, seq, sender, payload = entry
-    return TraceEvent(time, pid, "deliver", None, 0, payload, sender, pid, seq)
-
-
-def _lines(entry) -> int:
-    return len(entry.receivers) if type(entry) is SendCall else 1
-
-
-def _events(entry) -> Iterable[TraceEvent]:
-    cls = type(entry)
-    if cls is SendCall:
-        return map(entry.copy_event, range(len(entry.receivers)))
-    return (_delivery(entry) if cls is tuple else entry,)
+def _own(owners: list, call: SendCall, owner) -> None:
+    """Make ``owner`` the entry of every seq of ``call`` in ``owners``, a list
+    indexed by seq (None where no call owns the seq)."""
+    first = call.seq
+    if first > len(owners):
+        owners += [None] * (first - len(owners))
+    owners[first:first + len(call.receivers)] = [owner] * len(call.receivers)
 
 
 class Events(Sequence):
@@ -137,11 +136,38 @@ class Events(Sequence):
         self._log = log
 
     def __len__(self) -> int:
-        return sum(map(_lines, self._log))
+        lines = 0
+        for entry in self._log:
+            cls = type(entry)
+            if cls is SendCall:
+                lines += len(entry.receivers)
+            elif cls is not Fraction:   # an instant has no line
+                lines += 1
+        return lines
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        # owners[seq]: (receivers, first seq, sender, payload) of the send
+        # call that sent seq
+        owners: list = []
+        now = None   # the instant of the deliveries that follow
+        event = TraceEvent
         for entry in self._log:
-            yield from _events(entry)
+            cls = type(entry)
+            if cls is int:
+                receivers, first, sender, payload = owners[entry]
+                pid = receivers[entry - first]
+                yield event(now, pid, "deliver", None, 0, payload, sender, pid, entry)
+            elif cls is SendCall:
+                time, sender, kind = entry.time, entry.process, entry.kind
+                words, payload, receivers = entry.words, entry.payload, entry.receivers
+                _own(owners, entry, (receivers, entry.seq, sender, payload))
+                for seq, receiver in enumerate(receivers, entry.seq):
+                    yield event(time, sender, kind, None, words, payload,
+                                sender, receiver, seq)
+            elif cls is Fraction:
+                now = entry
+            else:
+                yield entry
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -152,11 +178,7 @@ class Events(Sequence):
             window = list(islice(self, lo, hi + 1))
             return [window[j - lo] for j in picked]
         j = range(len(self))[i]   # negative indices, and the IndexError
-        for entry in self._log:
-            if j < _lines(entry):
-                break
-            j -= _lines(entry)
-        return next(islice(_events(entry), j, None))
+        return next(islice(self, j, None))
 
 
 class Trace:
@@ -172,7 +194,7 @@ class Trace:
     def events(self) -> Events:
         return Events(self.log)
 
-    def append(self, entry: TraceEvent | SendCall) -> None:
+    def append(self, entry: TraceEvent | SendCall | int | Fraction) -> None:
         self.log.append(entry)
 
     def blocks(self) -> Iterator[str]:
@@ -180,33 +202,43 @@ class Trace:
         ending in a newline, rendered straight from the log. One summary per
         distinct payload and one time string per distinct time object: a
         broadcast's n sends and n deliveries share one payload, and the
-        lines of one instant share one time. The log keeps both alive while
-        the memos are in use."""
+        lines of one instant share one time. A delivery line is its
+        instant's stamp, its receiver, the part its send call fixes
+        (rendered once per call) and its seq. The log keeps the payloads and
+        times alive while the memos are in use."""
         summaries: dict[int, str] = {}
         times: dict[int, str] = {}
 
-        def rendered(time, payload) -> tuple[str, str]:
+        def stamp_of(time) -> str:
             stamp = times.get(id(time))
             if stamp is None:
                 stamp = times[id(time)] = str(time)
-            text = summaries.get(id(payload))
-            if text is None:
-                text = summaries[id(payload)] = _summary(payload)
-            return stamp, text
+            return stamp
 
+        # owners[seq]: (receivers, first seq, "|deliver|<summary><-P<sender>#")
+        # of the send call that sent seq
+        owners: list = []
+        now = ""   # the stamp of the current instant
         lines: list[str] = []
         for entry in self.log:
             cls = type(entry)
-            if cls is tuple:
-                time, pid, seq, sender, payload = entry
-                stamp, text = rendered(time, payload)
-                lines.append(f"{stamp}|{pid}|deliver|{text}<-P{sender}#{seq}|0")
+            if cls is int:
+                receivers, first, middle = owners[entry]
+                lines.append(f"{now}|{receivers[entry - first]}{middle}{entry}|0")
             elif cls is SendCall:
-                stamp, text = rendered(entry.time, entry.payload)
-                head = f"{stamp}|{entry.process}|{entry.kind}|{text}->P"
+                payload = entry.payload
+                text = summaries.get(id(payload))
+                if text is None:
+                    text = summaries[id(payload)] = _summary(payload)
+                receivers, sender = entry.receivers, entry.process
+                _own(owners, entry,
+                     (receivers, entry.seq, f"|deliver|{text}<-P{sender}#"))
+                head = f"{stamp_of(entry.time)}|{sender}|{entry.kind}|{text}->P"
                 tail = f"|{entry.words}"
                 lines += [f"{head}{receiver}#{seq}{tail}"
-                          for seq, receiver in enumerate(entry.receivers, entry.seq)]
+                          for seq, receiver in enumerate(receivers, entry.seq)]
+            elif cls is Fraction:
+                now = stamp_of(entry)
             else:
                 lines.append(entry.line(summaries, times))
             while len(lines) >= BLOCK_LINES:

@@ -1,10 +1,12 @@
-"""The verdict rules of scripts/bench_compare.py, on made-up run values."""
+"""The verdict rules and records of scripts/bench_compare.py, on made-up run
+values: no benchmark is started."""
 
 import importlib.util
 import json
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,12 +47,30 @@ METRICS = [{"name": "events_per_s", "better": "higher", "bound": 0.25},
            {"name": "run_s.p50", "better": "lower", "bound": 0.25}]
 
 
-def fake_run(events_per_s, failed=0):
-    """A perfbench/run.py summary line with the fields bench_compare reads."""
+def fake_run(events_per_s, failed=0, wall_s=30.0):
+    """A perfbench/run.py summary line with the fields bench_compare reads,
+    and the wall seconds run_bench adds to it."""
     return {"correct": not failed, "attempted": 5, "failed": failed,
             "metrics": {"events_per_s": {"value": events_per_s},
                         "run_s.p50": {"value": 1000 / events_per_s},
-                        "peak_rss_mb": {"value": 40.0}, "setup_s": {"value": 0.2}}}
+                        "peak_rss_mb": {"value": 40.0}, "setup_s": {"value": 0.2}},
+            "wall_s": wall_s}
+
+
+def test_run_bench_adds_the_wall_seconds_of_the_benchmark_process(tmp_path, monkeypatch):
+    clock = iter([100.0, 137.5])
+    line = json.dumps(fake_run(120.0))
+
+    def run(argv, **kwargs):   # stands in for the perfbench/run.py process
+        assert argv[1] == "perfbench/run.py" and kwargs["cwd"] == tmp_path
+        return subprocess.CompletedProcess(argv, 0, stdout=f"# a comment\n{line}\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_compare, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    monkeypatch.setattr(bench_compare, "subprocess", SimpleNamespace(run=run))
+    out = bench_compare.run_bench(tmp_path, "random_mix", 3, 25.0)
+    assert out["wall_s"] == 37.5
+    assert out["metrics"] == json.loads(line)["metrics"]
 
 
 def test_a_failed_gate_on_the_change_side_is_never_a_gain():
@@ -69,7 +89,7 @@ def test_a_failed_gate_on_the_change_side_is_never_a_gain():
 
 
 @pytest.mark.parametrize("failed, code", [(0, 0), (1, 1)])
-def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch,
+def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch, capsys,
                                                      failed, code):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     monkeypatch.setattr(bench_compare, "ROOT", tmp_path)
@@ -78,13 +98,23 @@ def test_main_exits_1_when_the_change_fails_the_gate(tmp_path, monkeypatch,
 
     def run_bench(checkout, workload, seed, seconds):
         if checkout == tmp_path:    # the change side
-            return fake_run(130.0 + seed, failed=failed)
-        return fake_run(100.0 + seed)
+            return fake_run(130.0 + seed, failed=failed, wall_s=20.0 + seed)
+        return fake_run(100.0 + seed, wall_s=30.0 + seed)
 
     monkeypatch.setattr(bench_compare, "run_bench", run_bench)
     assert bench_compare.main(["--label", "t", "--workload", "random_mix",
+                               "--workload", "squad_worst",
                                "--pairs", "4", "--first-seed", "3"]) == code
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    # seeds 3-6: the wall seconds of every run, their median per side and
+    # workload, and the sum of those medians over the workloads
+    wall = record["workloads"]["random_mix"]["wall_s"]
+    assert wall == {"parent": {"median": 34.5, "runs": [33.0, 34.0, 35.0, 36.0]},
+                    "change": {"median": 24.5, "runs": [23.0, 24.0, 25.0, 26.0]}}
+    assert record["wall_s"] == {"parent": 69.0, "change": 49.0}
+    printed = capsys.readouterr().out
+    assert "random_mix      wall_s        parent 34.5 change 24.5" in printed
+    assert "all workloads   wall_s        parent 69.0 change 49.0" in printed
     verdicts = {m: c["verdict"]
                 for m, c in record["workloads"]["random_mix"]["metrics"].items()}
     if failed:

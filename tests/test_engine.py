@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from squadsim.adversary import ScheduledReleasePolicy
+from squadsim.consensus import PROTOCOLS
 from squadsim.engine import (AdversaryViolation, MaxDelayPolicy, ProtocolError,
                              Simulation)
 from squadsim.timebase import ClockModel
@@ -484,6 +485,27 @@ def test_finished_run_is_not_kept_alive_by_its_config():
     gc.collect()
     assert sim() is None
     assert cfg.policy.releases   # the config itself is still in use
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_a_finished_run_makes_no_reference_cycle(protocol):
+    # no layer of a node holds the node itself, so reference counting alone
+    # frees a finished run, its nodes and the crypto ledger's signatures:
+    # the cycle collector finds nothing left of it
+    from squadsim import run_scenario, worst_case
+    cfg = worst_case(7, 0, protocol)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(cfg)
+        sim = weakref.ref(result.simulation)
+        del result
+        assert sim() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_self_send_has_normal_bounds():

@@ -27,7 +27,7 @@ from squadsim.metrics import (ALL_CHECKS, CERT_MESSAGE_TYPES, SYNC_MESSAGE_TYPES
 from squadsim.raresync import EnterEpochMsg, EpochCompletedMsg, epoch_message, leader
 from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
-from squadsim.trace import Trace, TraceEvent
+from squadsim.trace import SendCall, Trace, TraceEvent
 from tests.exact_times import exact_cases
 from tests.planted import PLANTED, checker_of
 
@@ -270,6 +270,37 @@ def test_planted_defect_is_flagged(name, wc_run):
     violations = ALL_CHECKS[check](trace, cfg, crypto)
     assert violations, f"{check} checker passed its planted defect {name}"
     assert all(check in v for v in violations)
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("delay_bounds", ["delay_bounds: envelope #77 sent 51 delivered 53"]),
+    ("delay_bounds.unpaired", ["delay_bounds: envelope #77 delivered but never sent"]),
+    ("delay_bounds.wrong_sender",
+     ["delay_bounds: envelope #77 delivered from P3 but sent by P1"]),
+])
+def test_planted_delay_defects_give_their_exact_lines(name, verdict, wc_run):
+    cfg, crypto = wc_run.config, wc_run.simulation.crypto
+    assert check_delay_bounds(PLANTED[name](cfg, crypto, wc_run.trace), cfg,
+                              crypto) == verdict
+
+
+def test_delay_check_reads_logged_seqs_and_hand_built_deliveries_together(wc_run):
+    # deliver events appended to the engine's log: one names a seq the
+    # engine sent but another sender, one a seq nobody sent
+    cfg, crypto = wc_run.config, wc_run.simulation.crypto
+    trace = Trace(events=wc_run.trace.log)   # the same entries, in a new log
+    assert check_delay_bounds(trace, cfg, crypto) == []
+    calls = [entry for entry in trace.log if type(entry) is SendCall]
+    call, missing = calls[0], calls[-1].seq + len(calls[-1].receivers)
+    at = trace.events[-1].time
+    trace.append(TraceEvent(at, 2, "deliver", None, 0, call.payload,
+                            sender=call.process % 4 + 1, receiver=2, seq=call.seq))
+    trace.append(TraceEvent(at, 2, "deliver", None, 0, call.payload,
+                            sender=call.process, receiver=2, seq=missing))
+    assert check_delay_bounds(trace, cfg, crypto) == [
+        f"delay_bounds: envelope #{call.seq} delivered from "
+        f"P{call.process % 4 + 1} but sent by P{call.process}",
+        f"delay_bounds: envelope #{missing} delivered but never sent"]
 
 
 # -- memoized checkers still report once per event ----------------------------
@@ -631,20 +662,68 @@ def test_records_cover_every_copy_of_a_real_run(cfg):
     assert len(index.messages) < len(emitted)
 
 
-@pytest.mark.parametrize("cfg", [worst_case(13, 0, "squad"), worst_case(13, 0, "alltoall"),
-                                 scenario_s(7, 0),
-                                 *(randomized(4, seed) for seed in range(20))],
-                         ids=lambda cfg: f"{cfg.name}-{cfg.protocol}-{cfg.n}-s{cfg.seed}")
-def test_logged_and_hand_built_forms_give_one_trace_and_report(cfg):
-    # the engine's log (one entry per send call, one tuple per delivery)
-    # against the same run as one TraceEvent per line
+def _same_drain_deliveries(log) -> list[int]:
+    """The seqs delivered while the bucket of the instant that sent them
+    was still draining: no instant entry lies between the send call and
+    the delivery, so the engine pushed the copy into the bucket it was
+    draining (a pre-GST zero delay)."""
+    out, sent_here = [], set()
+    for entry in log:
+        if type(entry) is Fraction:
+            sent_here = set()
+        elif type(entry) is SendCall:
+            sent_here.update(range(entry.seq, entry.seq + len(entry.receivers)))
+        elif type(entry) is int and entry in sent_here:
+            out.append(entry)
+    return out
+
+
+# (run, the engine's rare paths it must take): worst_case squad releases
+# certification messages at their send instant, and randomized seed 15
+# stops at its last correct decision with copies of that instant queued
+_FORM_RUNS = [(worst_case(13, 0, "squad"), {"same_drain"}),
+              (worst_case(13, 0, "alltoall"), set()), (scenario_s(7, 0), set()),
+              *((randomized(4, seed), {"mid_instant"} if seed == 15 else set())
+                for seed in range(20))]
+
+
+@pytest.mark.parametrize("cfg, paths", _FORM_RUNS,
+                         ids=[f"{cfg.name}-{cfg.protocol}-{cfg.n}-s{cfg.seed}"
+                              for cfg, _ in _FORM_RUNS])
+def test_logged_and_hand_built_forms_give_one_trace_and_report(cfg, paths):
+    # the engine's log (send calls, delivered seqs and instants) against
+    # the same run as one TraceEvent per line
     result = run_scenario(cfg)
+    sim, log = result.simulation, result.trace.log
+    taken = set()
+    if _same_drain_deliveries(log):
+        taken.add("same_drain")
+    if not result.trace.horizon_hit and \
+            (sim.now.numerator, sim.now.denominator) in sim._buckets:
+        taken.add("mid_instant")
+    assert paths <= taken
     rebuilt = Trace(events=list(result.trace.events))
     assert all(isinstance(entry, TraceEvent) for entry in rebuilt.log)
     assert rebuilt.serialize() == result.trace.serialize()
+    assert index_of(rebuilt).end_time == index_of(result.trace).end_time
     report = build_report(rebuilt, cfg, result.simulation.crypto)
     assert report.csv_row() == result.report.csv_row()
     assert report.violations == result.report.violations
+
+
+def test_end_time_is_the_time_of_the_last_line():
+    # an instant has no line of its own, and a delivered seq is at the
+    # instant logged before it
+    call = SendCall(Fraction(1), 1, "send", 1, "m", 5, (2, 3))
+    trace = Trace()
+    for entry in (Fraction(1), call, Fraction(2), 5, 6):
+        trace.append(entry)
+    assert index_of(trace).end_time == Fraction(2) == trace.events[-1].time
+    trace.append(Fraction(3))   # an instant that logged nothing: a retired timer
+    assert index_of(trace).end_time == Fraction(2)
+    trace.append(TraceEvent(Fraction(3), 1, "advance", "v=2", 0, 2))
+    assert index_of(trace).end_time == Fraction(3)
+    assert index_of(Trace()).end_time == 0
 
 
 def test_planted_registry_covers_every_checker():

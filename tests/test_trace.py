@@ -1,7 +1,8 @@
 """The streamed trace: ``serialize()``, ``write(fp)`` and ``sha256()`` give
 the same bytes, render each time and payload once, and writing holds one
-block of text at a time. The engine logs one entry per send call and one
-tuple per delivery; ``trace.events`` builds the per-line events when read."""
+block of text at a time. The engine logs one entry per send call, one seq
+per delivery and one time per instant; ``trace.events`` builds the
+per-line events when read."""
 
 import functools
 import hashlib
@@ -131,12 +132,22 @@ def test_log_keeps_one_entry_per_send_call_and_events_are_built_when_read(monkey
     monkeypatch.setattr(MaxDelayPolicy, "deliver_at", counting)
     trace = run_scenario(worst_case(13, 0, "alltoall")).trace
     monkeypatch.undo()
+    # four kinds of entry: send calls, delivered seqs, instants, and events
+    # for everything but messages; no tuple and no per-copy event
+    assert {type(entry) for entry in trace.log} == {SendCall, int, Fraction, TraceEvent}
     assert not [entry for entry in trace.log if isinstance(entry, TraceEvent)
                 and entry.kind in ("send", "byz", "deliver")]
     calls = [entry for entry in trace.log if type(entry) is SendCall]
     assert asked == [list(call.receivers) for call in calls] and calls
     events = trace.events
     listed = list(events)
+    # one int per deliver line, in line order, each a seq its call sent
+    delivered = [entry for entry in trace.log if type(entry) is int]
+    assert delivered == [ev.seq for ev in listed if ev.kind == "deliver"]
+    assert len(delivered) == trace.serialize().count("|deliver|")
+    sent = {seq for call in calls
+            for seq in range(call.seq, call.seq + len(call.receivers))}
+    assert set(delivered) <= sent
     assert len(events) == len(listed) == trace.serialize().count("\n")
     picks = [*range(0, len(listed), 97), -1, -len(listed)]
     assert [events[i] for i in picks] == [listed[i] for i in picks]
