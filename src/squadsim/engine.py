@@ -54,8 +54,9 @@ exact:
   holds: the call that owns the seq has its pid, sender and payload. So a
   delivery allocates nothing that outlives its handler, and no per-copy
   ``TraceEvent`` is built while a run goes on: ``trace.events`` builds
-  them when read. Every message is one word, in its log entry: the trace
-  is the only word tally.
+  them when read. This log is the trace's one form: the metrics read
+  it and nothing else. Every message is one word, in its log
+  entry: the trace is the only word tally.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
 horizon, queue monotonicity) is an integer cross-product of the public

@@ -27,10 +27,10 @@ synchronizer window) are computed once each, on first read, by a
 values the facts read (n, f, gst, delta, byzantine), not on the config
 object, which builders and tests mutate in place.
 
-A message record stands for the copies of one send call: the engine logs
-each call once, as a ``trace.SendCall`` whose fields are those of its
-first copy's send event, so the index keeps it as one ``(entry, copies)``
-pair; a send event of a hand-built trace is a one-copy record. Every
+The index reads the engine's log, the trace's one form (see ``trace``):
+a message record stands for the copies of one send call, logged once as
+a ``trace.SendCall`` whose fields are those of its first copy's send
+event, so the index keeps it as one ``(entry, copies)`` pair. Every
 checker that walks sends reads the records and weights them by
 ``copies``; where it reports one line per copy, it repeats the line
 ``copies`` times in the same place, so the violation lists are those of a
@@ -38,8 +38,9 @@ copy-by-copy walk, line for line. Only the receiver and the seq tell the
 copies apart: no checker reads the receiver, and the delay check maps
 each seq of a record back to it. Deliveries are kept as logged: the
 engine's instants and delivered seqs (a seq is at the instant before it,
-and names its sender only through the call that owns it), and hand-built
-deliver events.
+and names its sender only through the call that owns it). A log that
+holds a message as a ``TraceEvent`` is refused, since no checker would
+see it.
 
 Exact predicates are decided once per shared input and the verdict is
 replayed to every record or delivery sharing it. Window membership is
@@ -55,8 +56,8 @@ Bounds are checked with exact rational arithmetic. The delay check, which
 sees every delivery, finds its send in a list indexed by seq and decides
 late or early from integer cross-products of the send time, delivery
 time, GST and delta (numerators and positive denominators), with no float
-and no ``Fraction`` temporaries; a delivery that names no send, or names
-one from another sender, is reported as fabricated. A few
+and no ``Fraction`` temporaries; a delivery whose seq no send call sent
+is reported as fabricated. A few
 properties are promises about infinite executions; their missing-event
 forms are applied only when the (finite) trace demonstrably ran long
 enough to owe the event.
@@ -76,7 +77,7 @@ from .consensus import (ANY_VALUE_TAG, PROTOCOLS, CertPhase, Certificate,
 from .crypto import ThresholdSignature
 from .raresync import EnterEpochMsg, EpochCompletedMsg, RareSync, leader
 from .baselines import AllToAllSync
-from .trace import SendCall, Trace
+from .trace import SendCall, Trace, _own
 from .viewcore import CoreMessage, QuorumCertificate, vote_message
 
 # the payload classes each layer owns, as its node routes them
@@ -91,14 +92,13 @@ CERT_MESSAGE_TYPES = CertPhase.MESSAGES
 class TraceIndex:
     """The log entries every extractor and checker needs, in one pass.
 
-    ``messages`` holds one ``(entry, copies)`` record per send call: a
-    ``SendCall`` with its receiver count, or a hand-built ``send``/``byz``
-    event with 1. ``sends`` keeps the records of correct processes (kind
-    ``send``); both lists keep trace order, and their records are shared.
-    ``delivers`` holds the log's deliveries in trace order, as logged: the
-    engine's instants (``Fraction``) and delivered seqs (``int``, each at
-    the instant before it), and hand-built deliver events. ``end_time`` is
-    the time of the last line.
+    ``messages`` holds one ``(entry, copies)`` record per send call: its
+    ``SendCall`` and receiver count. ``sends`` keeps the records of correct
+    processes (kind ``send``); both lists keep trace order, and their
+    records are shared. ``delivers`` holds the log's deliveries in trace
+    order, as logged: the instants (``Fraction``) and delivered seqs
+    (``int``, each at the instant before it). ``end_time`` is the time of
+    the last line. A ``TraceEvent`` of a message kind raises ``ValueError``.
     """
 
     def __init__(self, trace: Trace):
@@ -116,17 +116,16 @@ class TraceIndex:
                 delivers.append(entry)
             elif cls is SendCall:
                 messages.append((entry, len(entry.receivers)))
-            else:
+            else:   # a TraceEvent
                 kind = entry.kind
-                if kind == "deliver":
-                    delivers.append(entry)
-                elif kind == "send" or kind == "byz":
-                    messages.append((entry, 1))
-                elif kind == "advance":
+                if kind == "advance":
                     self.advances.setdefault(entry.process, []).append(
                         (entry.time, entry.payload))
                 elif kind == "decide":
                     self.decisions.setdefault(entry.process, (entry.time, entry.payload))
+                elif kind in ("send", "byz", "deliver"):
+                    raise ValueError(f"a message is logged as its SendCall and "
+                                     f"its delivered seqs, not as {entry!r}")
         self.sends: list[tuple] = [record for record in messages
                                    if record[0].kind == "send"]
         self.end_time = _end_time(log)
@@ -583,45 +582,32 @@ def check_message_words(trace, cfg, crypto):
 def check_delay_bounds(trace, cfg, crypto):
     out = []
     index = index_of(trace)
-    # by_seq[seq - low] is the entry of the record that sent seq, filled
-    # one slice per record; a later record wins a reused seq
-    numbered = [(ev.seq, ev, copies) for ev, copies in index.messages
-                if ev.seq is not None]
-    low = min([seq for seq, _, _ in numbered], default=0)
-    high = max([seq + copies for seq, _, copies in numbered], default=0)
-    by_seq: list = [None] * (high - low)
-    for seq, ev, copies in numbered:
-        by_seq[seq - low:seq - low + copies] = [ev] * copies
+    # by_seq[seq] is the send call that sent seq, None where no call did;
+    # filled one slice per call, so a later call wins a reused seq
+    by_seq: list = []
+    for call, _ in index.messages:
+        _own(by_seq, call, call)
+    high = len(by_seq)
     gn, gd = cfg.gst.numerator, cfg.gst.denominator
     dn, dd = cfg.delta.numerator, cfg.delta.denominator
     # verdict: "late", "early" or None (legal) for the pair (sent_time,
     # delivered); consecutive deliveries of one broadcast share both time
     # objects, so it is decided again only when one of them changes
     sent_time = delivered = verdict = None
-    now = None   # the current instant of the engine's log
-    for entry in index.delivers:
-        cls = type(entry)
-        if cls is int:
-            seq, dt = entry, now
-        elif cls is Fraction:
-            now = entry
+    now = None   # the current instant: the time of the seqs after it
+    for seq in index.delivers:
+        if type(seq) is Fraction:
+            now = seq
             continue
-        else:   # a hand-built deliver event
-            seq, dt = entry.seq, entry.time
-        sent = by_seq[seq - low] if seq is not None and low <= seq < high else None
+        sent = by_seq[seq] if 0 <= seq < high else None
         if sent is None:
             out.append(f"delay_bounds: envelope #{seq} delivered but never sent")
             continue
-        # a logged seq names its sender only through the call that owns it
-        if cls is not int and entry.sender != sent.process:
-            out.append(f"delay_bounds: envelope #{seq} delivered from "
-                       f"P{entry.sender} but sent by P{sent.process}")
-            continue
         st = sent.time
-        if st is not sent_time or dt is not delivered:
-            sent_time, delivered = st, dt
+        if st is not sent_time or now is not delivered:
+            sent_time, delivered = st, now
             sn, sd = st.numerator, st.denominator
-            tn, td = dt.numerator, dt.denominator
+            tn, td = now.numerator, now.denominator
             # the delay is delay_num / (sd * td), and sd * td > 0
             delay_num = tn * sd - sn * td
             post_gst = sn * gd >= gn * sd
@@ -632,7 +618,7 @@ def check_delay_bounds(trace, cfg, crypto):
             else:
                 verdict = None
         if verdict == "late":
-            out.append(f"delay_bounds: envelope #{seq} sent {st} delivered {dt}")
+            out.append(f"delay_bounds: envelope #{seq} sent {st} delivered {now}")
         elif verdict == "early":
             out.append(f"delay_bounds: envelope #{seq} delivered before sent")
     return out

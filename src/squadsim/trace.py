@@ -18,20 +18,21 @@ as four kinds of entry:
 - a ``Fraction`` per instant, logged when the engine starts draining a
   time bucket: the time of the deliveries that follow it. It is no line
   itself, and an instant whose events log nothing leaves it alone;
-- a ``TraceEvent`` for everything else (timers, advances, epoch entries,
-  decisions) and for every event of a trace built by hand, which may hold
-  send and deliver events too: ``Trace(events)`` and ``append`` keep them
-  as they are.
+- a ``TraceEvent`` for everything else: timers, advances, epoch entries
+  and decisions. A message is never one: the log is the trace's one form,
+  so a trace built by hand logs its sends, deliveries and instants the
+  way the engine does.
 
 Every reader resolves the seqs to their calls in its one pass over the
 log, through a list indexed by seq. ``trace.events`` is a read-only
-sequence of one ``TraceEvent`` per line, built from the log when read:
-it supports ``len``, iteration, indexing and slicing, and keeps no list of
-events. Message lines carry no detail string: it is rendered from the
-payload when the line is written, which is exact because every payload is
-immutable (frozen dataclasses, ints, strings). Events and log entries keep
-a reference to the structured payload they describe, so post-hoc checkers
-inspect messages without parsing detail strings.
+iterable of one ``TraceEvent`` per line, built from the log when read: it
+supports ``len`` and iteration, and keeps no list of events; take
+``list(trace.events)`` to index it. Message lines carry no detail string:
+it is rendered from the payload when the line is written, which is exact
+because every payload is immutable (frozen dataclasses, ints, strings).
+Events and log entries keep a reference to the structured payload they
+describe, so post-hoc checkers inspect messages without parsing detail
+strings.
 
 A ``Trace`` holds only its log, whether the run stopped at its horizon,
 and the index the metrics cache on it. It keeps no copy of the run's
@@ -50,7 +51,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Any, Iterable, Iterator, Optional, TextIO
 
 # lines per block of streamed text: a block is built, consumed and freed
@@ -126,9 +126,8 @@ def _own(owners: list, call: SendCall, owner) -> None:
     owners[first:first + len(call.receivers)] = [owner] * len(call.receivers)
 
 
-class Events(Sequence):
-    """The read-only ``TraceEvent`` sequence of a log, one per line, each
-    built when read."""
+class Events:
+    """The ``TraceEvent``s of a log, one per line, each built when read."""
 
     __slots__ = ("_log",)
 
@@ -169,23 +168,13 @@ class Events(Sequence):
             else:
                 yield entry
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            picked = range(len(self))[i]
-            if not picked:
-                return []
-            lo, hi = sorted((picked[0], picked[-1]))
-            window = list(islice(self, lo, hi + 1))
-            return [window[j - lo] for j in picked]
-        j = range(len(self))[i]   # negative indices, and the IndexError
-        return next(islice(self, j, None))
-
 
 class Trace:
     """A run's log (see the module docstring) and whether it hit its horizon."""
 
-    def __init__(self, events: Iterable[TraceEvent] = (), horizon_hit: bool = False):
-        self.log: list = list(events)
+    def __init__(self, log: Iterable[TraceEvent | SendCall | int | Fraction] = (),
+                 horizon_hit: bool = False):
+        self.log: list = list(log)
         self.horizon_hit = horizon_hit
         # metrics.TraceIndex over ``log``, built and refreshed by metrics.index_of
         self.index: Any = None

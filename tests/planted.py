@@ -15,6 +15,7 @@ from squadsim.crypto import ThresholdSignature
 from squadsim.metrics import facts_of
 from squadsim.raresync import EpochCompletedMsg, epoch_message
 from squadsim.trace import Trace, TraceEvent
+from tests.log_builder import LogBuilder
 from squadsim.viewcore import CoreMessage, PHASE_PREPARE, PRECOMMIT, \
     QuorumCertificate, vote_message
 
@@ -25,7 +26,7 @@ def _advance(trace, time, pid, view):
 
 
 def plant_monotonic_views(cfg, crypto, base):
-    t = Trace(events=list(base.events))
+    t = Trace(log=list(base.log))
     _advance(t, 5, 1, 5)
     _advance(t, 6, 1, 3)
     return t
@@ -53,20 +54,19 @@ def plant_epoch_entry_quorum(cfg, crypto, base):
 
 def plant_quiet_period(cfg, crypto, base):
     _, e_final, t_ef = facts_of(base, cfg).stable_epochs
-    t = Trace(events=list(base.events))
+    b = LogBuilder(Trace(log=list(base.log)))
     psig = crypto.share_sign(1, epoch_message(e_final), "quorum")
-    t.append(TraceEvent(t_ef + cfg.epoch_duration / 2, 1, "send", "EC", 1,
-                        payload=EpochCompletedMsg(e_final, psig)))
-    return t
+    b.send(t_ef + cfg.epoch_duration / 2, 1, EpochCompletedMsg(e_final, psig))
+    return b.trace
 
 
 def plant_tight_entry(cfg, crypto, base):
     from squadsim.metrics import epoch_of
     _, e_final, _ = facts_of(base, cfg).stable_epochs
-    events = [ev for ev in base.events
-              if not (ev.kind == "advance" and ev.process == 1
-                      and epoch_of(ev.payload, cfg.f) == e_final)]
-    return Trace(events=events)
+    return Trace(log=[entry for entry in base.log
+                      if not (type(entry) is TraceEvent and entry.kind == "advance"
+                              and entry.process == 1
+                              and epoch_of(entry.payload, cfg.f) == e_final)])
 
 
 def plant_view_overlap(cfg, crypto, base):
@@ -126,7 +126,7 @@ def plant_agreement(cfg, crypto, base):
 
 
 def plant_conflicting_qcs(cfg, crypto, base):
-    t = Trace()
+    b = LogBuilder()
     quorum = 2 * cfg.f + 1
     for value, lo in (("a", 1), ("b", 2)):
         signers = list(range(lo, lo + quorum))
@@ -135,67 +135,51 @@ def plant_conflicting_qcs(cfg, crypto, base):
                                                                 value, 8),
                                                 "quorum") for p in signers])
         qc = QuorumCertificate(PHASE_PREPARE, value, 8, sig)
-        t.append(TraceEvent(Fraction(1), 2, "send", "m", 1,
-                            payload=CoreMessage(PRECOMMIT, 8, qc=qc)))
-    return t
+        b.send(1, 2, CoreMessage(PRECOMMIT, 8, qc=qc))
+    return b.trace
 
 
 def plant_unforgeable_sigs(cfg, crypto, base):
-    t = Trace()
+    b = LogBuilder()
     forged = ThresholdSignature("(vote,prepare,66,9)",
                                 frozenset(range(1, 2 * cfg.f + 2)), "quorum")
     qc = QuorumCertificate(PHASE_PREPARE, 66, 9, forged)
-    t.append(TraceEvent(Fraction(1), 1, "send", "m", 1,
-                        payload=CoreMessage(PRECOMMIT, 9, qc=qc)))
-    return t
+    b.send(1, 1, CoreMessage(PRECOMMIT, 9, qc=qc))
+    return b.trace
 
 
 def plant_core_word_budget(cfg, crypto, base):
-    t = Trace()
+    b = LogBuilder()
     for i in range(5):
-        t.append(TraceEvent(Fraction(1 + i), 1, "send", "m", 1,
-                            payload=CoreMessage("PREPARE-VOTE", 1, value=1)))
-    return t
+        b.send(1 + i, 1, CoreMessage("PREPARE-VOTE", 1, value=1))
+    return b.trace
 
 
 def plant_message_words(cfg, crypto, base):
-    t = Trace()
-    t.append(TraceEvent(Fraction(1), 1, "send", "m", 0))
-    return t
+    b = LogBuilder()
+    b.send(1, 1, words=0)
+    return b.trace
 
 
 def plant_delay_bounds(cfg, crypto, base):
-    t = Trace()
-    t.append(TraceEvent(cfg.gst + 1, 1, "send", "m", 1, sender=1, receiver=2,
-                        seq=77))
-    t.append(TraceEvent(cfg.gst + 1 + 2 * cfg.delta, 2, "deliver", "m", 0,
-                        sender=1, receiver=2, seq=77))
-    return t
+    b = LogBuilder()
+    b.send(cfg.gst + 1, 1, seq=77)
+    b.deliver(cfg.gst + 1 + 2 * cfg.delta, 77)
+    return b.trace
 
 
 def plant_unpaired_delivery(cfg, crypto, base):
-    t = Trace()
-    t.append(TraceEvent(cfg.gst + 1, 2, "deliver", "m", 0, sender=1, receiver=2,
-                        seq=77))   # no event sent #77
-    return t
-
-
-def plant_wrong_sender(cfg, crypto, base):
-    t = Trace()
-    t.append(TraceEvent(cfg.gst + 1, 1, "send", "m", 1, sender=1, receiver=2,
-                        seq=77))
-    t.append(TraceEvent(cfg.gst + 2, 2, "deliver", "m", 0, sender=3, receiver=2,
-                        seq=77))   # legal delay, but P1 sent #77
-    return t
+    b = LogBuilder()
+    b.deliver(cfg.gst + 1, 77)   # no call sent #77
+    return b.trace
 
 
 def plant_cert_computability(cfg, crypto, base):
-    t = Trace()
+    b = LogBuilder()
     tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
                            for p in range(1, cfg.f + 2)])
-    t.append(TraceEvent(Fraction(1), 1, "send", "m", 1,
-                        payload=CertificateMsg(8, Certificate(8, tsig))))
-    return t
+    b.send(1, 1, CertificateMsg(8, Certificate(8, tsig)))
+    return b.trace
 
 
 def plant_cert_liveness(cfg, crypto, base):
@@ -203,12 +187,11 @@ def plant_cert_liveness(cfg, crypto, base):
 
 
 def plant_cert_word_budget(cfg, crypto, base):
-    t = Trace()
+    b = LogBuilder()
     psig = crypto.share_sign(1, value_message(7), "cert")
     for i in range(3 * cfg.n + 1):
-        t.append(TraceEvent(Fraction(i), 1, "send", "m", 1,
-                            payload=DiscloseMsg(7, psig)))
-    return t
+        b.send(i, 1, DiscloseMsg(7, psig))
+    return b.trace
 
 
 PLANTED = {
@@ -230,7 +213,6 @@ PLANTED = {
     "message_words": plant_message_words,
     "delay_bounds": plant_delay_bounds,
     "delay_bounds.unpaired": plant_unpaired_delivery,
-    "delay_bounds.wrong_sender": plant_wrong_sender,
     "cert_computability": plant_cert_computability,
     "cert_liveness": plant_cert_liveness,
     "cert_word_budget": plant_cert_word_budget,

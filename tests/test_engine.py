@@ -16,7 +16,7 @@ from squadsim.consensus import PROTOCOLS
 from squadsim.engine import (AdversaryViolation, MaxDelayPolicy, ProtocolError,
                              Simulation)
 from squadsim.timebase import ClockModel
-from squadsim.trace import TraceEvent
+from squadsim.trace import SendCall, TraceEvent
 from tests.exact_times import exact_cases
 
 
@@ -390,7 +390,7 @@ def test_violation_at_copy_k_keeps_only_the_copies_before_it(k):
     before, seq0 = len(sim.trace.events), sim._seq
     with pytest.raises(AdversaryViolation, match="outside"):
         sim.context(1).broadcast(Ping("cut"))
-    logged = sim.trace.events[before:]
+    logged = list(sim.trace.events)[before:]
     assert [(ev.kind, ev.receiver) for ev in logged] == [("send", r) for r in range(1, k)]
     assert sorted(ev.receiver for ev, _ in queued_deliveries(sim)) == list(range(1, k))
     assert sim._seq == seq0 + k   # the failing copy's seq is spent
@@ -627,8 +627,9 @@ def test_bucketed_queue_pops_in_reference_heap_order(initial, plan):
 
     def push(time, rank, pid):
         label = next(labels)
+        # the send call the engine would queue with the copy
         sim._push(time, rank, pid, "deliver",
-                  TraceEvent(time, 1, "send", None, 1, label, 1, pid, label))
+                  SendCall(time, 1, "send", 1, label, label, (pid,)))
 
     probe = QueueProbe(push, plan, popped)
     for pid in range(1, 5):
@@ -829,7 +830,7 @@ def _run_checking_each_decision(monkeypatch, cfg) -> set[int]:
     monkeypatch.undo()
     assert sim.all_correct_decided() and not trace.horizon_hit
     last = next(end for _, done, end in checked if done)
-    assert [ev.kind for ev in trace.events[last:]
+    assert [ev.kind for ev in list(trace.events)[last:]
             if ev.kind in ("deliver", "timer")] == []
     return {pid for pid, _, _ in checked}
 

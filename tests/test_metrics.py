@@ -29,6 +29,7 @@ from squadsim.viewcore import (PHASE_PREPARE, PRECOMMIT, CoreMessage,
                                QuorumCertificate, vote_message)
 from squadsim.trace import SendCall, Trace, TraceEvent
 from tests.exact_times import exact_cases
+from tests.log_builder import LogBuilder
 from tests.planted import PLANTED, checker_of
 
 
@@ -85,18 +86,18 @@ def test_count_words_window(happy_run):
 
 
 def test_all_sends_before_gst_count_zero():
-    trace = Trace()
+    b = LogBuilder()
     for t in (10, 20, 30):
-        trace.append(TraceEvent(Fraction(t), 1, "send", "x", 1))
-    assert count_words(trace, Fraction(50), Fraction(100)) == 0
+        b.send(t, 1)
+    assert count_words(b.trace, Fraction(50), Fraction(100)) == 0
 
 
 def test_index_follows_events_appended_after_it_was_built():
-    trace = Trace()
-    trace.append(TraceEvent(Fraction(60), 1, "send", "x", 1))
-    assert count_words(trace, Fraction(50), None) == 1
-    trace.append(TraceEvent(Fraction(70), 2, "send", "x", 2))
-    assert count_words(trace, Fraction(50), None) == 3
+    b = LogBuilder()
+    b.send(60, 1)
+    assert count_words(b.trace, Fraction(50), None) == 1
+    b.send(70, 2, words=2)
+    assert count_words(b.trace, Fraction(50), None) == 3
 
 
 # window membership is decided per time object; equal but distinct objects,
@@ -113,12 +114,12 @@ _edge_index = st.integers(0, len(_edges) - 1)
 def test_window_words_equal_a_per_event_sum(sends, lo_at, hi_at):
     lo = _edges[lo_at]
     hi = None if hi_at is None else _edges[hi_at]
-    trace = Trace()
+    b = LogBuilder()
+    trace = b.trace
     for at, shared, words, kind, sync in sends:
         t = _edges[at] if shared else Fraction(_edges[at].numerator,
                                                _edges[at].denominator)
-        trace.append(TraceEvent(t, 1, kind, "m", words,
-                                payload=WishMsg(2) if sync else "other"))
+        b.send(t, 1, WishMsg(2) if sync else "other", words=words, kind=kind)
 
     def naive(sync_only):
         return sum(ev.words for ev in trace.events
@@ -200,7 +201,7 @@ def test_run_facts_follow_new_events_and_config_values(wc_run, mutate):
 
     before = facts(trace)   # the report already derived these
     mutate(trace, cfg)
-    assert facts(trace) == facts(Trace(events=list(trace.events))) != before
+    assert facts(trace) == facts(Trace(log=list(trace.log))) != before
 
 
 def test_report_derives_each_run_fact_once(monkeypatch):
@@ -275,8 +276,6 @@ def test_planted_defect_is_flagged(name, wc_run):
 @pytest.mark.parametrize("name, verdict", [
     ("delay_bounds", ["delay_bounds: envelope #77 sent 51 delivered 53"]),
     ("delay_bounds.unpaired", ["delay_bounds: envelope #77 delivered but never sent"]),
-    ("delay_bounds.wrong_sender",
-     ["delay_bounds: envelope #77 delivered from P3 but sent by P1"]),
 ])
 def test_planted_delay_defects_give_their_exact_lines(name, verdict, wc_run):
     cfg, crypto = wc_run.config, wc_run.simulation.crypto
@@ -284,45 +283,34 @@ def test_planted_delay_defects_give_their_exact_lines(name, verdict, wc_run):
                               crypto) == verdict
 
 
-def test_delay_check_reads_logged_seqs_and_hand_built_deliveries_together(wc_run):
-    # deliver events appended to the engine's log: one names a seq the
-    # engine sent but another sender, one a seq nobody sent
+def test_delay_check_reads_deliveries_appended_to_an_engine_log(wc_run):
+    # after the run's own log: a late second delivery of a seq the engine
+    # sent, and a delivery of a seq nobody sent
     cfg, crypto = wc_run.config, wc_run.simulation.crypto
-    trace = Trace(events=wc_run.trace.log)   # the same entries, in a new log
-    assert check_delay_bounds(trace, cfg, crypto) == []
-    calls = [entry for entry in trace.log if type(entry) is SendCall]
-    call, missing = calls[0], calls[-1].seq + len(calls[-1].receivers)
-    at = trace.events[-1].time
-    trace.append(TraceEvent(at, 2, "deliver", None, 0, call.payload,
-                            sender=call.process % 4 + 1, receiver=2, seq=call.seq))
-    trace.append(TraceEvent(at, 2, "deliver", None, 0, call.payload,
-                            sender=call.process, receiver=2, seq=missing))
-    assert check_delay_bounds(trace, cfg, crypto) == [
-        f"delay_bounds: envelope #{call.seq} delivered from "
-        f"P{call.process % 4 + 1} but sent by P{call.process}",
+    b = LogBuilder(Trace(log=list(wc_run.trace.log)))
+    assert check_delay_bounds(b.trace, cfg, crypto) == []
+    last = [entry for entry in b.trace.log if type(entry) is SendCall][-1]
+    assert last.time >= cfg.gst
+    late, missing = last.time + 2 * cfg.delta, b.next_seq
+    b.deliver(late, last.seq)
+    b.deliver(late, missing)
+    assert check_delay_bounds(b.trace, cfg, crypto) == [
+        f"delay_bounds: envelope #{last.seq} sent {last.time} delivered {late}",
         f"delay_bounds: envelope #{missing} delivered but never sent"]
 
 
 # -- memoized checkers still report once per event ----------------------------
 
-def _broadcast(trace, time, sender, payload, n=4):
-    for receiver in range(1, n + 1):
-        trace.append(TraceEvent(Fraction(time), sender, "send", None, 1,
-                                payload=payload, sender=sender, receiver=receiver))
-
-
 def test_shared_illegal_delay_is_reported_per_delivery():
     cfg = SimpleNamespace(gst=Fraction(50), delta=Fraction(1))
-    trace = Trace()
+    b = LogBuilder()
     sent, late, ok = Fraction(60), Fraction(62), Fraction(61)
     early_sent, early = Fraction(10), Fraction(9)
     plan = [(sent, late)] * 5 + [(sent, ok)] * 3 + [(early_sent, early)] * 2
     for seq, (t_send, t_deliver) in enumerate(plan, start=1):
-        trace.append(TraceEvent(t_send, 1, "send", "m", 1, sender=1,
-                                receiver=2, seq=seq))
-        trace.append(TraceEvent(t_deliver, 2, "deliver", "m", 0, sender=1,
-                                receiver=2, seq=seq))
-    out = check_delay_bounds(trace, cfg, None)
+        b.send(t_send, 1, seq=seq)
+        b.deliver(t_deliver, seq)
+    out = check_delay_bounds(b.trace, cfg, None)
     late_lines = [v for v in out if "sent 60 delivered 62" in v]
     assert {v.split("#")[1].split()[0] for v in late_lines} == {"1", "2", "3", "4", "5"}
     assert sorted(v for v in out if "before sent" in v) == [
@@ -336,10 +324,9 @@ def test_shared_illegal_delay_is_reported_per_delivery():
 def test_delay_verdict_agrees_with_fraction_operators(case):
     gst, delta, sent, delivered = case
     cfg = SimpleNamespace(gst=gst, delta=delta)
-    trace = Trace()
-    trace.append(TraceEvent(sent, 1, "send", "m", 1, sender=1, receiver=2, seq=1))
-    trace.append(TraceEvent(delivered, 2, "deliver", "m", 0, sender=1,
-                            receiver=2, seq=1))
+    b = LogBuilder()
+    b.send(sent, 1, seq=1)
+    b.deliver(delivered, 1)
     delay = delivered - sent
     if sent >= gst and not (0 < delay <= delta):
         expected = [f"delay_bounds: envelope #1 sent {sent} delivered {delivered}"]
@@ -347,35 +334,34 @@ def test_delay_verdict_agrees_with_fraction_operators(case):
         expected = ["delay_bounds: envelope #1 delivered before sent"]
     else:
         expected = []
-    assert check_delay_bounds(trace, cfg, None) == expected
+    assert check_delay_bounds(b.trace, cfg, None) == expected
 
 
 def test_fabricated_deliveries_are_reported():
     cfg = SimpleNamespace(gst=Fraction(50), delta=Fraction(1))
-    trace = Trace()
-    sent = Fraction(60)
-    for seq in (3, 4):
-        trace.append(TraceEvent(sent, 1, "send", "m", 1, sender=1, receiver=2,
-                                seq=seq))
-    for seq, sender in ((3, 1), (4, 2), (5, 1), (None, 1), (2, 1)):
-        trace.append(TraceEvent(Fraction(61), 2, "deliver", "m", 0, sender=sender,
-                                receiver=2, seq=seq))
-    assert check_delay_bounds(trace, cfg, None) == [
-        "delay_bounds: envelope #4 delivered from P2 but sent by P1",
+    b = LogBuilder()
+    b.send(60, 1, receivers=(2, 3), seq=3)
+    for seq in (3, 4, 5, 0, 2):
+        b.deliver(61, seq)
+    assert check_delay_bounds(b.trace, cfg, None) == [
         "delay_bounds: envelope #5 delivered but never sent",
-        "delay_bounds: envelope #None delivered but never sent",
+        "delay_bounds: envelope #0 delivered but never sent",
         "delay_bounds: envelope #2 delivered but never sent"]
+
+
+def _broadcast(builder, time, sender, payload, n=4):
+    builder.send(time, sender, payload, receivers=range(1, n + 1))
 
 
 def test_forged_broadcast_is_reported_per_copy():
     crypto = CryptoSystem(4, 1)
     cfg = happy(4, 0)
     forged = ThresholdSignature("(epoch,3)", frozenset({1, 2, 3}), "quorum")
-    trace = Trace()
-    _broadcast(trace, 7, 1, EnterEpochMsg(3, forged))
+    b = LogBuilder()
+    _broadcast(b, 7, 1, EnterEpochMsg(3, forged))
     # an equal but distinct payload is checked on its own and reported too
-    _broadcast(trace, 8, 2, EnterEpochMsg(3, forged), n=1)
-    out = check_unforgeable_sigs(trace, cfg, crypto)
+    _broadcast(b, 8, 2, EnterEpochMsg(3, forged), n=1)
+    out = check_unforgeable_sigs(b.trace, cfg, crypto)
     assert len(out) == 5
     assert len(set(out)) == 1 and "sig((epoch,3),{1,2,3})" in out[0]
 
@@ -389,26 +375,26 @@ def test_unforgeable_threshold_is_the_scheme_k(scheme, honest, reported):
     for p in range(1, honest + 1):
         crypto.share_sign(p, epoch_message(3), scheme)
     tsig = ThresholdSignature(epoch_message(3), frozenset({1, 2, 3}), scheme)
-    trace = Trace()
-    _broadcast(trace, 7, 4, EnterEpochMsg(4, tsig), n=1)
-    out = check_unforgeable_sigs(trace, happy(4, 0), crypto)
+    b = LogBuilder()
+    _broadcast(b, 7, 4, EnterEpochMsg(4, tsig), n=1)
+    out = check_unforgeable_sigs(b.trace, happy(4, 0), crypto)
     assert bool(out) is reported
 
 
 def test_qc_verdicts_are_kept_per_qc():
     crypto = CryptoSystem(4, 1)
-    trace = Trace()
+    b = LogBuilder()
     # a forged QC first, then two genuine ones with different values: the
     # forged one's verdict must not stand in for the others
     forged = QuorumCertificate(PHASE_PREPARE, "x", 5, ThresholdSignature(
         digest_of(vote_message(PHASE_PREPARE, "x", 5)), frozenset({1, 2, 3}), "quorum"))
-    _broadcast(trace, 1, 2, CoreMessage(PRECOMMIT, 5, qc=forged))
+    _broadcast(b, 1, 2, CoreMessage(PRECOMMIT, 5, qc=forged))
     for time, value in ((2, "a"), (3, "b")):
         sig = crypto.combine([crypto.share_sign(p, vote_message(PHASE_PREPARE, value, 5),
                                                 "quorum") for p in (1, 2, 3)])
         qc = QuorumCertificate(PHASE_PREPARE, value, 5, sig)
-        _broadcast(trace, time, 2, CoreMessage(PRECOMMIT, 5, qc=qc))
-    out = check_conflicting_qcs(trace, None, crypto)
+        _broadcast(b, time, 2, CoreMessage(PRECOMMIT, 5, qc=qc))
+    out = check_conflicting_qcs(b.trace, None, crypto)
     assert out == ["conflicting_qcs: prepare QCs for view 5 carry values a and b"]
 
 
@@ -418,9 +404,9 @@ def test_verifying_certificate_is_reported_per_copy():
     cfg.proposals = {p: 5 for p in range(1, 5)}
     tsig = crypto.combine([crypto.share_sign(p, value_message(8), "cert")
                            for p in (1, 2)])
-    trace = Trace()
-    _broadcast(trace, 1, 3, CertificateMsg(8, Certificate(8, tsig)))
-    out = check_cert_computability(trace, cfg, crypto)
+    b = LogBuilder()
+    _broadcast(b, 1, 3, CertificateMsg(8, Certificate(8, tsig)))
+    out = check_cert_computability(b.trace, cfg, crypto)
     assert out == ["cert_computability: certificate for 8 appeared despite "
                    "unanimity on 5"] * 4
 
@@ -431,11 +417,11 @@ def test_certificate_verdicts_are_kept_per_value():
     cfg.proposals = {p: 5 for p in range(1, 5)}
     cert = Certificate(8, crypto.combine([crypto.share_sign(p, value_message(8), "cert")
                                           for p in (1, 2)]))
-    trace = Trace()
+    b = LogBuilder()
     # the same certificate claimed for 5 (does not verify), then carried for 8
-    _broadcast(trace, 1, 3, CertificateMsg(5, cert), n=1)
-    _broadcast(trace, 2, 3, CoreMessage(PRECOMMIT, 5, cert=cert), n=1)
-    out = check_cert_computability(trace, cfg, crypto)
+    _broadcast(b, 1, 3, CertificateMsg(5, cert), n=1)
+    _broadcast(b, 2, 3, CoreMessage(PRECOMMIT, 5, cert=cert), n=1)
+    out = check_cert_computability(b.trace, cfg, crypto)
     assert out == ["cert_computability: certificate for 8 appeared despite "
                    "unanimity on 5"]
 
@@ -498,32 +484,27 @@ _times = st.integers(0, len(_TIMES) - 1)
 _message_step = st.tuples(
     st.just("message"), st.integers(0, len(_PAYLOADS) - 1), _times, st.booleans(),
     st.integers(1, 4), st.sampled_from(["send", "byz"]), st.integers(0, 2),
-    st.sampled_from([1, 2, 4, 13]), st.sampled_from(["seq", "seq", "gap", "none"]),
+    st.sampled_from([1, 2, 4, 13]), st.sampled_from(["seq", "seq", "gap"]),
     st.sampled_from([None, None, "same", "words", "kind", "process"]))
-_deliver_step = st.tuples(st.just("deliver"), st.one_of(st.none(), st.integers(0, 40)),
-                          _times, st.booleans(), st.booleans())
+_deliver_step = st.tuples(st.just("deliver"), st.integers(0, 40), _times, st.booleans())
 _steps = st.lists(st.one_of(_message_step, _deliver_step, st.just(("timer",))),
                   min_size=8, max_size=40)
 
 
 def _record_trace(steps):
-    """Broadcasts and point-to-point sends, with deliveries (paired, from a
-    wrong sender, unpaired, without a seq) and timers in between."""
-    trace = Trace()
+    """Broadcasts and point-to-point send calls, with deliveries (of a seq
+    some call sent, before or after it, or of one none sent) and timers
+    in between."""
+    b = LogBuilder()
     for pid in (1, 2, 3):
-        advance(trace, 10, pid, 1)
-        advance(trace, 52, pid, 3)
-    # one more than P1's certification budget (3n): a record of seven
-    # copies and six sends without a seq, so its line always shows the count;
-    # then P2 broadcasts a genuine QC, which a later one for "b" conflicts with
-    for receiver in range(1, 14):
-        trace.append(TraceEvent(_TIMES[0], 1, "send", None, 1, _PAYLOADS[9], 1,
-                                receiver, receiver if receiver <= 7 else None))
-    for receiver in range(1, 5):
-        trace.append(TraceEvent(_TIMES[0], 2, "send", None, 1, _PAYLOADS[4], 2,
-                                receiver, 7 + receiver))
-    seq = 11
-    delivers = []
+        b.event(10, pid, "advance", "v=1", 1)
+        b.event(52, pid, "advance", "v=3", 3)
+    # one more than P1's certification budget (3n), over two calls with a
+    # seq gap between them, so its line always shows the count; in between,
+    # P2 broadcasts a genuine QC, which a later one for "b" conflicts with
+    b.send(_TIMES[0], 1, _PAYLOADS[9], receivers=range(1, 8))
+    b.send(_TIMES[0], 2, _PAYLOADS[4], receivers=range(1, 5))
+    b.send(_TIMES[0], 1, _PAYLOADS[9], receivers=range(8, 14), seq=b.next_seq + 1)
     last = None
     for step in steps:
         if step[0] == "message":
@@ -531,46 +512,44 @@ def _record_trace(steps):
             call = (_at(at, shared), _PAYLOADS[payload], pid, kind, words)
             if like and last is not None:
                 # the last call again on the next seqs, alike in all but at
-                # most one field: it may extend the last record only if "same"
+                # most one field
                 t, payload, pid, kind, words = last
                 call = (t, payload, pid % 4 + 1 if like == "process" else pid,
                         {"send": "byz", "byz": "send"}[kind] if like == "kind" else kind,
                         (words + 1) % 3 if like == "words" else words)
             last = t, payload, pid, kind, words = call   # one time object per call
-            seq += numbering == "gap"
-            for receiver in range(1, copies + 1):
-                seq += 1
-                trace.append(TraceEvent(t, pid, kind, None, words, payload, pid,
-                                        receiver, None if numbering == "none" else seq))
+            b.send(t, pid, payload, words=words, kind=kind,
+                   receivers=range(1, copies + 1),
+                   seq=b.next_seq + (numbering == "gap"))
         elif step[0] == "deliver":
-            _, target, at, shared, wrong = step
-            ev = TraceEvent(_at(at, shared), 2, "deliver", None, 0, None, None, 2, target)
-            trace.append(ev)
-            delivers.append((ev, wrong))
+            _, target, at, shared = step
+            b.deliver(_at(at, shared), target)
         else:
-            trace.append(TraceEvent(_TIMES[0], 1, "timer", "view_timer:gen1", 0))
-    sent = {ev.seq: ev for ev in trace.events
-            if ev.kind in ("send", "byz") and ev.seq is not None}
-    for ev, wrong in delivers:
-        origin = sent.get(ev.seq)
-        ev.sender = 1 if origin is None else origin.process + wrong
-        ev.payload = None if origin is None else origin.payload
-    return trace
+            b.event(_TIMES[0], 1, "timer", "view_timer:gen1")
+    return b.trace
+
+
+def _copies(trace) -> list[SendCall]:
+    """Each copy of each send call of the log, as a one-receiver call."""
+    return [SendCall(call.time, call.process, call.kind, call.words, call.payload,
+                     call.seq + i, (receiver,))
+            for call in trace.log if type(call) is SendCall
+            for i, receiver in enumerate(call.receivers)]
 
 
 def _per_copy(trace, cfg, crypto):
     """Every send-walking check and both word windows, walked copy by copy
     with Fraction operators: the answer the message records must give."""
-    emitted = [ev for ev in trace.events if ev.kind in ("send", "byz")]
-    sends = [ev for ev in emitted if ev.kind == "send"]
+    emitted = _copies(trace)
+    sends = [copy for copy in emitted if copy.kind == "send"]
     facts = facts_of(trace, cfg)
     correct = facts.correct
-    rest = Trace([ev for ev in trace.events if ev.kind not in ("send", "byz")])
+    rest = [entry for entry in trace.log if type(entry) is TraceEvent]
 
     def alone(check):
         # a check whose lines are per copy, run on each copy by itself
-        return [line for ev in emitted
-                for line in check(Trace(list(rest.events) + [ev]), cfg, crypto)]
+        return [line for copy in emitted
+                for line in check(Trace(log=rest + [copy]), cfg, crypto)]
 
     def window(lo, hi, types=object):
         return sum(ev.words for ev in sends if lo <= ev.time
@@ -594,22 +573,22 @@ def _per_copy(trace, cfg, crypto):
         if seen.setdefault(key, qc.value) != qc.value and not conflicts:
             conflicts.append(f"conflicting_qcs: {qc.phase} QCs for view {qc.view} "
                              f"carry values {seen[key]} and {qc.value}")
-    by_seq = {ev.seq: ev for ev in emitted if ev.seq is not None}
+    by_seq = {copy.seq: copy for copy in emitted}   # a later call wins a seq
     delays = []
-    for ev in trace.events:
-        if ev.kind != "deliver":
+    now = None
+    for entry in trace.log:
+        if type(entry) is Fraction:
+            now = entry
+        if type(entry) is not int:
             continue
-        origin = by_seq.get(ev.seq)
+        origin = by_seq.get(entry)
         if origin is None:
-            delays.append(f"delay_bounds: envelope #{ev.seq} delivered but never sent")
-        elif ev.sender != origin.process:
-            delays.append(f"delay_bounds: envelope #{ev.seq} delivered from "
-                          f"P{ev.sender} but sent by P{origin.process}")
-        elif origin.time >= cfg.gst and not 0 < ev.time - origin.time <= cfg.delta:
-            delays.append(f"delay_bounds: envelope #{ev.seq} sent {origin.time} "
-                          f"delivered {ev.time}")
-        elif ev.time < origin.time:
-            delays.append(f"delay_bounds: envelope #{ev.seq} delivered before sent")
+            delays.append(f"delay_bounds: envelope #{entry} delivered but never sent")
+        elif origin.time >= cfg.gst and not 0 < now - origin.time <= cfg.delta:
+            delays.append(f"delay_bounds: envelope #{entry} sent {origin.time} "
+                          f"delivered {now}")
+        elif now < origin.time:
+            delays.append(f"delay_bounds: envelope #{entry} delivered before sent")
     return {
         "words": (window(cfg.gst, facts.t_d), window(cfg.gst, None, SYNC_MESSAGE_TYPES),
                   window(_TIMES[2], _TIMES[5], SYNC_MESSAGE_TYPES)),
@@ -646,8 +625,7 @@ def test_message_records_give_the_per_copy_answer(steps):
         _window_words(trace, _TIMES[2], _TIMES[5], SYNC_MESSAGE_TYPES))
     assert {name: ALL_CHECKS[name](trace, cfg, crypto) for name in expected} == expected
     index = index_of(trace)
-    assert sum(copies for _, copies in index.messages) == len(
-        [ev for ev in trace.events if ev.kind in ("send", "byz")])
+    assert sum(copies for _, copies in index.messages) == len(_copies(trace))
 
 
 @pytest.mark.parametrize("cfg", [worst_case(13, 0, "squad"), worst_case(13, 0, "alltoall"),
@@ -681,34 +659,31 @@ def _same_drain_deliveries(log) -> list[int]:
 # (run, the engine's rare paths it must take): worst_case squad releases
 # certification messages at their send instant, and randomized seed 15
 # stops at its last correct decision with copies of that instant queued
-_FORM_RUNS = [(worst_case(13, 0, "squad"), {"same_drain"}),
+_PATH_RUNS = [(worst_case(13, 0, "squad"), {"same_drain"}),
               (worst_case(13, 0, "alltoall"), set()), (scenario_s(7, 0), set()),
               *((randomized(4, seed), {"mid_instant"} if seed == 15 else set())
                 for seed in range(20))]
 
 
-@pytest.mark.parametrize("cfg, paths", _FORM_RUNS,
+@pytest.mark.parametrize("cfg, paths", _PATH_RUNS,
                          ids=[f"{cfg.name}-{cfg.protocol}-{cfg.n}-s{cfg.seed}"
-                              for cfg, _ in _FORM_RUNS])
-def test_logged_and_hand_built_forms_give_one_trace_and_report(cfg, paths):
-    # the engine's log (send calls, delivered seqs and instants) against
-    # the same run as one TraceEvent per line
+                              for cfg, _ in _PATH_RUNS])
+def test_rare_engine_paths_log_what_their_lines_say(cfg, paths):
+    # the engine's log (send calls, delivered seqs and instants) serializes
+    # as its events' lines, also where a copy lands in the bucket being
+    # drained or the run stops with copies of its instant still queued
     result = run_scenario(cfg)
-    sim, log = result.simulation, result.trace.log
+    sim, trace = result.simulation, result.trace
     taken = set()
-    if _same_drain_deliveries(log):
+    if _same_drain_deliveries(trace.log):
         taken.add("same_drain")
-    if not result.trace.horizon_hit and \
+    if not trace.horizon_hit and \
             (sim.now.numerator, sim.now.denominator) in sim._buckets:
         taken.add("mid_instant")
     assert paths <= taken
-    rebuilt = Trace(events=list(result.trace.events))
-    assert all(isinstance(entry, TraceEvent) for entry in rebuilt.log)
-    assert rebuilt.serialize() == result.trace.serialize()
-    assert index_of(rebuilt).end_time == index_of(result.trace).end_time
-    report = build_report(rebuilt, cfg, result.simulation.crypto)
-    assert report.csv_row() == result.report.csv_row()
-    assert report.violations == result.report.violations
+    events = list(trace.events)
+    assert trace.serialize() == "".join(ev.line() + "\n" for ev in events)
+    assert index_of(trace).end_time == events[-1].time
 
 
 def test_end_time_is_the_time_of_the_last_line():
@@ -718,12 +693,24 @@ def test_end_time_is_the_time_of_the_last_line():
     trace = Trace()
     for entry in (Fraction(1), call, Fraction(2), 5, 6):
         trace.append(entry)
-    assert index_of(trace).end_time == Fraction(2) == trace.events[-1].time
+    assert index_of(trace).end_time == Fraction(2) == list(trace.events)[-1].time
     trace.append(Fraction(3))   # an instant that logged nothing: a retired timer
     assert index_of(trace).end_time == Fraction(2)
     trace.append(TraceEvent(Fraction(3), 1, "advance", "v=2", 0, 2))
     assert index_of(trace).end_time == Fraction(3)
     assert index_of(Trace()).end_time == 0
+
+
+@pytest.mark.parametrize("kind", ["send", "byz", "deliver"])
+def test_a_message_logged_as_an_event_is_refused(kind, wc_run):
+    # no checker reads a message TraceEvent, so a log holding one is refused
+    # rather than checked without it
+    cfg, crypto = wc_run.config, wc_run.simulation.crypto
+    stray = TraceEvent(Fraction(60), 2, kind, None, 1, "m", 1, 2, 7)
+    trace = Trace(log=[*wc_run.trace.log, stray])
+    for read in (index_of, lambda t: build_report(t, cfg, crypto)):
+        with pytest.raises(ValueError, match=f"kind='{kind}'"):
+            read(trace)
 
 
 def test_planted_registry_covers_every_checker():
