@@ -50,7 +50,7 @@ class AllToAllSync:
         ctx.measure("baseline_timer", self.view_duration)
         self._advance(ctx, self.view)
 
-    def on_timer(self, ctx) -> None:
+    def on_timer(self, ctx, kind: str) -> None:
         ctx.broadcast(WishMsg(self.view + 1))
 
     def on_message(self, ctx, sender: int, msg: WishMsg) -> None:
@@ -84,7 +84,7 @@ class DoublingSync:
         ctx.measure("baseline_timer", self.current_duration)
         self._advance(ctx, self.view)
 
-    def on_timer(self, ctx) -> None:
+    def on_timer(self, ctx, kind: str) -> None:
         self.current_duration *= 2
         self.view += 1
         ctx.measure("baseline_timer", self.current_duration)

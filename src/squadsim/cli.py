@@ -176,7 +176,8 @@ def run_one(cfg, trace_dir: Optional[Path]) -> tuple[Optional[str], bool]:
     failed = bool(report.violations) or not report.decided
     print(f"[{'FAIL' if failed else 'ok'}] {head} "
           f"words={report.words_post_gst} t_s={report.t_s} t_d={report.t_d} "
-          f"violations={len(report.violations)}")
+          f"violations={len(report.violations)}"
+          + (f" horizon={cfg.horizon}" if result.trace.horizon_hit else ""))
     for v in report.violations:
         print(f"    {v}")
     if trace_dir:

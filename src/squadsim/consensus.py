@@ -3,8 +3,8 @@ view core wired to a synchronizer, and the full protocol node.
 
 A plain composed run ("raresync-quad", or a baseline synchronizer) starts
 the view core and the synchronizer together; synchronizer advance
-indications drive start_executing, and a core decision is the protocol
-decision.
+indications drive start_executing, every timer goes to the synchronizer,
+which arms them all, and the core decides through the context.
 
 The certified variant ("squad") first runs a one-shot certification
 phase. Every process discloses its proposal under an (f+1, n) scheme;
@@ -180,9 +180,7 @@ class ProtocolNode:
         validator = ((lambda value, cert: verify_certificate(crypto, value, cert))
                      if certified else None)
         core_factory = core_factory or ViewCore
-        self.core = core_factory(pid, n, f, crypto,
-                                 on_decide=lambda ctx, v: ctx.decide(v),
-                                 cert_validator=validator)
+        self.core = core_factory(pid, n, f, crypto, cert_validator=validator)
         core = self.core
 
         def advance(ctx, view: int) -> None:
@@ -241,9 +239,4 @@ class ProtocolNode:
             self._held.append((sender, payload))
 
     def on_timer(self, ctx, kind: str) -> None:
-        if kind == "view_timer":
-            self.sync.on_view_timer(ctx)
-        elif kind == "dissemination_timer":
-            self.sync.on_dissemination_timer(ctx)
-        elif kind == "baseline_timer":
-            self.sync.on_timer(ctx)
+        self.sync.on_timer(ctx, kind)

@@ -25,10 +25,11 @@ exact:
   times with equal floats (``inf`` for every time beyond the float range)
   fall through to the exact ``Fraction`` compare;
 - timers measure durations on the owner's local clock, integrating its
-  rate schedule. A timer is its generation number, ``timers[(pid, kind)]``:
-  measure and cancel both bump it, each generation is queued at most once,
-  and an expiration fires only if its generation is still the current one,
-  so a cancel or re-measure silently retires any queued expiration;
+  rate schedule. A timer is its generation number, ``timers[(pid, kind)]``
+  for any kind a node names: measure and cancel both bump it (from 0),
+  each generation is queued at most once, and an expiration fires only if
+  its generation is still the current one, so a cancel or re-measure
+  silently retires any queued expiration. The node dispatches the kind;
 - message delays are chosen by a DelayPolicy at send time and validated
   there: after GST a delay must lie in (0, delta], before GST it only has
   to be finite. The verdict depends only on the send instant and the
@@ -90,8 +91,6 @@ from .trace import SendCall, Trace, TraceEvent
 
 RANK_DELIVERY = 0
 RANK_TIMER = 1
-
-TIMER_KINDS = ("view_timer", "dissemination_timer", "baseline_timer")
 
 # an object no delay policy returns
 _NO_TIME = object()
@@ -200,8 +199,8 @@ class Simulation:
         self.now: Fraction = Fraction(0)
         self.trace = Trace()
         self.nodes: dict[int, Node] = {}
-        # (pid, kind) -> current generation; an unknown kind is a KeyError
-        self.timers = {(p, k): 0 for p in range(1, n + 1) for k in TIMER_KINDS}
+        # (pid, kind) -> current generation, from the pair's first measure or cancel
+        self.timers: dict[tuple[int, str], int] = {}
         self.decisions: dict[int, tuple[Fraction, object]] = {}
         self._undecided = sum(1 for p in range(1, n + 1) if p not in self.byzantine)
 
@@ -323,12 +322,12 @@ class Simulation:
         self.trace.append(call)
 
     def _timer_measure(self, pid: int, kind: str, local_duration) -> None:
-        generation = self.timers[(pid, kind)] = self.timers[(pid, kind)] + 1
+        generation = self.timers[(pid, kind)] = self.timers.get((pid, kind), 0) + 1
         expiry = self.clocks[pid].global_expiry(self.now, local_duration)
         self._push(expiry, RANK_TIMER, pid, "timer", (kind, generation))
 
     def _timer_cancel(self, pid: int, kind: str) -> None:
-        self.timers[(pid, kind)] += 1
+        self.timers[(pid, kind)] = self.timers.get((pid, kind), 0) + 1
 
     def _decide(self, pid: int, value) -> None:
         if pid in self.decisions:
@@ -340,9 +339,6 @@ class Simulation:
                                      f"value={value}", 0, value))
 
     # -- run loop ----------------------------------------------------------
-
-    def all_correct_decided(self) -> bool:
-        return self._undecided == 0
 
     def run(self, horizon: SimTime) -> Trace:
         horizon_t = Fraction(horizon)

@@ -10,7 +10,8 @@ that proof (or told about it via ENTER-EPOCH, which carries the combined
 threshold signature of e) waits delta on its dissemination timer, then
 re-broadcasts ENTER-EPOCH and enters the first view of the new epoch. The
 delta wait bounds how many epochs a process can enter per delta of time
-after GST, which is what keeps total communication quadratic.
+after GST, which is what keeps total communication quadratic. These two
+timers are the only kinds RareSync arms, and ``on_timer`` dispatches both.
 
 Global view numbering: view j of epoch e is (e-1)*(f+1) + j.
 """
@@ -93,21 +94,21 @@ class RareSync:
         ctx.measure("view_timer", self.view_duration)
         self._enter_current_view(ctx, first_of_epoch=True)
 
-    def on_view_timer(self, ctx) -> None:
-        if self.view < self.f + 1:
+    def on_timer(self, ctx, kind: str) -> None:
+        if kind == "dissemination_timer":
+            ctx.broadcast(EnterEpochMsg(self.epoch, self.epoch_sig))
+            self.view = 1
+        elif kind != "view_timer":
+            raise ValueError(f"RareSync arms no {kind!r} timer")
+        elif self.view < self.f + 1:
             self.view += 1
-            ctx.measure("view_timer", self.view_duration)
-            self._enter_current_view(ctx, first_of_epoch=False)
         else:
             psig = ctx.crypto.share_sign(self.pid, epoch_message(self.epoch), "quorum")
             ctx.broadcast(EpochCompletedMsg(self.epoch, psig))
             # the process enters no view until a new epoch is proven
-
-    def on_dissemination_timer(self, ctx) -> None:
-        ctx.broadcast(EnterEpochMsg(self.epoch, self.epoch_sig))
-        self.view = 1
+            return
         ctx.measure("view_timer", self.view_duration)
-        self._enter_current_view(ctx, first_of_epoch=True)
+        self._enter_current_view(ctx, first_of_epoch=self.view == 1)
 
     def on_message(self, ctx, sender: int, msg) -> None:
         if type(msg) is EpochCompletedMsg:
@@ -123,19 +124,19 @@ class RareSync:
         e = msg.epoch
         # taking e's quorum sets epoch = e + 1, never lowered: used once
         if e >= self.epoch and len(tally) >= 2 * self.f + 1:
-            self.epoch_sig = ctx.crypto.combine(tally.values())
-            self.epoch = e + 1
-            ctx.cancel("view_timer")
-            ctx.cancel("dissemination_timer")
-            ctx.measure("dissemination_timer", self.delta)
+            self._adopt(ctx, e + 1, ctx.crypto.combine(tally.values()))
 
     def _on_enter_epoch(self, ctx, msg: EnterEpochMsg) -> None:
         if msg.epoch <= self.epoch:
             return
         if not ctx.crypto.combined_verify(epoch_message(msg.epoch - 1), msg.tsig):
             return
-        self.epoch_sig = msg.tsig
-        self.epoch = msg.epoch
+        self._adopt(ctx, msg.epoch, msg.tsig)
+
+    def _adopt(self, ctx, epoch: int, sig: ThresholdSignature) -> None:
+        # a proof of epoch: stop the views and wait delta before entering it
+        self.epoch_sig = sig
+        self.epoch = epoch
         ctx.cancel("view_timer")
         ctx.cancel("dissemination_timer")
         ctx.measure("dissemination_timer", self.delta)

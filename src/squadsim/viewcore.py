@@ -6,10 +6,10 @@ leader picks the QC from the highest view among 2f+1 of those, proposes
 its value (or its own proposal if every QC was empty) in a PREPARE, and
 then drives PRECOMMIT, COMMIT and DECIDE, each broadcast after combining
 2f+1 partial-signed votes into a quorum certificate. Replicas adopt the
-prepare QC from PRECOMMIT, the locked QC from COMMIT, and decide on
-DECIDE. A replica supports a PREPARE only if its proposal matches the
-attached QC and does not conflict with the replica's lock (same value, or
-a strictly fresher QC).
+prepare QC from PRECOMMIT, the locked QC from COMMIT, and decide once, by
+``ctx.decide``, on DECIDE. A replica supports a PREPARE only if its
+proposal matches the attached QC and does not conflict with the replica's
+lock (same value, or a strictly fresher QC).
 
 State is kept across views. Messages for views other than the current one
 are buffered if newer and dropped if older; a decided process stays
@@ -107,13 +107,11 @@ class ViewCore:
     MESSAGES = (CoreMessage,)
 
     def __init__(self, pid: int, n: int, f: int, crypto,
-                 on_decide: Callable[[object, object], None],
                  cert_validator: Optional[Callable[[object, object], bool]] = None):
         self.pid = pid
         self.n = n
         self.crypto = crypto
         self.quorum = 2 * f + 1
-        self.on_decide = on_decide
         self.cert_validator = cert_validator
 
         self.proposal = None
@@ -242,7 +240,7 @@ class ViewCore:
         else:
             if not self.decided:
                 self.decided = True
-                self.on_decide(ctx, qc.value)
+                ctx.decide(qc.value)
 
     def _vote(self, ctx, phase: str, value, view: int, state: _ViewState) -> None:
         if phase in state.voted:

@@ -24,7 +24,7 @@ def test_timeout_broadcasts_wish(crypto4):
     sync, _ = make_a2a(crypto4)
     sync.start(ctx)
     ctx.clear()
-    sync.on_timer(ctx)
+    sync.on_timer(ctx, "baseline_timer")
     wishes = ctx.sent_payloads(WishMsg)
     assert len(wishes) == 4 and all(w.view == 2 for w in wishes)
 
@@ -101,7 +101,7 @@ def test_doubling_durations():
     ctx = FakeContext(CryptoSystem(4, 1))
     sync.start(ctx)
     for _ in range(4):
-        sync.on_timer(ctx)
+        sync.on_timer(ctx, "baseline_timer")
     measured = [d for op, kind, d in ctx.timers if op == "measure"]
     assert measured == [Fraction(1), Fraction(2), Fraction(4), Fraction(8),
                         Fraction(16)]
@@ -131,7 +131,7 @@ def test_doubling_laggard_latency_is_geometric():
     target = 21
     while sync.view < target:
         total += sync.current_duration
-        sync.on_timer(ctx)
+        sync.on_timer(ctx, "baseline_timer")
     # time to climb from view 1 to view 21 is the geometric sum
     assert total == beta * (2 ** (target - 1) - 1)
     assert total >= beta * 2 ** 19

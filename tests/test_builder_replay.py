@@ -22,9 +22,9 @@ from pathlib import Path
 import pytest
 
 from squadsim import adversary, run_scenario
+from squadsim.consensus import PROTOCOLS
 
 REFERENCE = Path(__file__).resolve().parent / "builder_reference.json"
-PROTOCOLS = ("raresync-quad", "squad", "alltoall", "doubling")
 SEEDS = (0, 1)
 MIXES = {
     "custom-jitter": {"policy": "jitter", "byzantine": "2",

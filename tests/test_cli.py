@@ -339,6 +339,25 @@ def test_handler_exception_is_a_reported_protocol_error(tmp_path, monkeypatch, c
     assert out.read_text().splitlines() == [CSV_HEADER]
 
 
+def test_an_undecided_run_names_its_horizon(tmp_path, capsys):
+    # randomized doubling n=4 seed 5 is undecided at its horizon; only its
+    # FAIL line changes, never an [ok] line or a CSV row
+    code, out = run_cli(tmp_path, "--protocol", "doubling", "--scenario", "random",
+                        "--n", "4", "--seeds", "4..6")
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "[ok] doubling n=4 seed=4 scenario=random words=55 t_s=5363/192 "
+        "t_d=529/16 violations=0",
+        "[FAIL] doubling n=4 seed=5 scenario=random words=57 t_s=None t_d=None "
+        "violations=0 horizon=8203/50",
+        "[ok] doubling n=4 seed=6 scenario=random words=57 t_s=1287/64 "
+        "t_d=691/32 violations=0"]
+    assert out.read_text().splitlines()[1:] == [
+        "doubling,4,1,4,random,55,0,5363/192,529/16,321/16,2,0",
+        "doubling,4,1,5,random,57,0,,,,2,0",
+        "doubling,4,1,6,random,57,0,1287/64,691/32,499/32,2,0"]
+
+
 @pytest.mark.parametrize("out, trace_dir", [
     pytest.param("results.csv", "file", id="trace-dir-is-a-file"),
     pytest.param("results.csv", "file/traces", id="trace-dir-under-a-file"),

@@ -117,6 +117,20 @@ def test_cancel_then_measure_fires_once():
     assert fired == [("timer", Fraction(1), "dissemination_timer")]
 
 
+def test_any_timer_kind_fires_once_after_a_cancel_and_a_measure():
+    # the engine knows no timer kind: a pair's generation starts at 0 on
+    # its first cancel or measure, whatever the kind
+    sim, nodes = make_sim()
+    ctx = sim.context(3)
+    ctx.cancel("twin_b:view_timer")
+    ctx.measure("twin_b:view_timer", Fraction(2))
+    trace = drain(sim)
+    fired = [e for e in nodes[3].events if e[0] == "timer"]
+    assert fired == [("timer", Fraction(2), "twin_b:view_timer")]
+    assert [ev.detail for ev in trace.events if ev.kind == "timer"] == \
+        ["twin_b:view_timer:gen2"]
+
+
 class Rearmer:
     """Node whose every timer callback takes the next action from a shared
     script and applies it to its own process."""
@@ -821,14 +835,14 @@ def _run_checking_each_decision(monkeypatch, cfg) -> set[int]:
     def probe(s, pid, value):
         decide(s, pid, value)
         rescan = all(p in s.decisions for p in range(1, s.n + 1) if p not in s.byzantine)
-        assert s.all_correct_decided() == rescan
+        assert (s._undecided == 0) == rescan
         checked.append((pid, rescan, len(s.trace.events)))
 
     # contexts reach _decide through the class
     monkeypatch.setattr(Simulation, "_decide", probe)
     trace = sim.run(cfg.horizon)
     monkeypatch.undo()
-    assert sim.all_correct_decided() and not trace.horizon_hit
+    assert sim._undecided == 0 and not trace.horizon_hit
     last = next(end for _, done, end in checked if done)
     assert [ev.kind for ev in list(trace.events)[last:]
             if ev.kind in ("deliver", "timer")] == []

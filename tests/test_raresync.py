@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -61,18 +62,18 @@ def test_view_timer_advances_within_epoch(crypto7):
     ctx = FakeContext(crypto7)
     sync, log = make_sync(crypto7)
     sync.start(ctx)
-    sync.on_view_timer(ctx)
+    sync.on_timer(ctx, "view_timer")
     assert log == [1, 2] and sync.view == 2
-    sync.on_view_timer(ctx)
+    sync.on_timer(ctx, "view_timer")
     assert log == [1, 2, 3] and sync.view == 3
 
 
 def test_last_view_expiry_broadcasts_completion(crypto4, ctx4):
     sync, log = make_sync(crypto4)
     sync.start(ctx4)
-    sync.on_view_timer(ctx4)      # view 2 = last for f=1
+    sync.on_timer(ctx4, "view_timer")      # view 2 = last for f=1
     ctx4.clear()
-    sync.on_view_timer(ctx4)      # completes the epoch
+    sync.on_timer(ctx4, "view_timer")      # completes the epoch
     msgs = ctx4.sent_payloads(EpochCompletedMsg)
     assert len(msgs) == crypto4.n
     assert all(m.epoch == 1 for m in msgs)
@@ -167,13 +168,36 @@ def test_dissemination_expiry_enters_and_rebroadcasts(crypto4, ctx4):
     for sender, msg in completed(crypto4, 1, [1, 2, 3]):
         sync.on_message(ctx4, sender, msg)
     ctx4.clear()
-    sync.on_dissemination_timer(ctx4)
+    sync.on_timer(ctx4, "dissemination_timer")
     msgs = ctx4.sent_payloads(EnterEpochMsg)
     assert len(msgs) == crypto4.n and all(m.epoch == 2 for m in msgs)
     # f=1: first view of epoch 2 is global view 3
     assert log[-1] == 3 and sync.view == 1
     assert ctx4.epochs == [2]
     assert ("measure", "view_timer", sync.view_duration) in ctx4.timers
+
+
+def test_a_timer_kind_raresync_never_arms_is_refused(crypto4, ctx4):
+    sync, log = make_sync(crypto4)
+    sync.start(ctx4)
+    ctx4.clear()
+    with pytest.raises(ValueError, match="'baseline_timer'"):
+        sync.on_timer(ctx4, "baseline_timer")
+    assert (sync.epoch, sync.view) == (1, 1) and log == [1]
+    assert ctx4.sends == [] and ctx4.timers == []
+
+
+def test_a_mistyped_timer_kind_ends_the_run_as_a_protocol_error():
+    # the engine fires any kind a node arms; RareSync refuses the one it
+    # never arms, so the run ends naming the process and the timer
+    from squadsim import build_simulation, happy
+    from squadsim.engine import ProtocolError
+    cfg = happy(4, 0)
+    sim = build_simulation(cfg)
+    sim.context(1).measure("view_timr", Fraction(1, 2))
+    with pytest.raises(ProtocolError, match="P1 raised ValueError: .*'view_timr'.*"
+                                            "the timer view_timr:gen1"):
+        sim.run(cfg.horizon)
 
 
 def test_global_view_formula(crypto7):
@@ -183,7 +207,7 @@ def test_global_view_formula(crypto7):
     sync.epoch = 2
     sync.epoch_sig = crypto7.combine(
         [crypto7.share_sign(p, epoch_message(1), "quorum") for p in range(1, 6)])
-    sync.on_dissemination_timer(ctx)
+    sync.on_timer(ctx, "dissemination_timer")
     # f=2: first view of epoch 2 is (2-1)*3 + 1 = 4
     assert log[-1] == 4
 

@@ -15,11 +15,11 @@ from fractions import Fraction
 import pytest
 
 from squadsim import adversary, run_scenario, worst_case
+from squadsim.consensus import PROTOCOLS
 from squadsim.engine import MaxDelayPolicy
 from squadsim.trace import BLOCK_LINES, SendCall, Trace, TraceEvent
 from tests.log_builder import LogBuilder
 
-PROTOCOLS = ("raresync-quad", "squad", "alltoall", "doubling")
 BUILDERS = {**adversary.BUILDERS,
             "custom-file": functools.partial(adversary.custom_file, {})}
 

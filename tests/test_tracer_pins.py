@@ -7,8 +7,10 @@ of another pinned class is wrapped twice and counts each call twice. One
 small run per delay-policy class checks that ``adversary.delay`` records
 exactly one span per send call (the engine asks the policy once per call,
 and logs each call as one ``SendCall``), and that ``uninstall`` puts every
-original back. The tracer's source is read, never imported from its directory, so
-nothing is written there.
+original back. Every span name must also wrap at least one callable its
+owner defines, so no span silently reads 0 after a refactor; the listed
+gaps are the exceptions. The tracer's source is read, never imported from
+its directory, so nothing is written there.
 """
 
 import types
@@ -72,3 +74,17 @@ def test_one_delay_span_per_send_and_clean_uninstall(policy, build):
             assert vars(owner).get(key) is original, (owner, key)
         else:
             assert getattr(owner, key) is original, (owner, key)
+
+
+# spans that wrap nothing: the run loop tests the undecided count inline,
+# and ``Simulation.all_correct_decided`` is gone
+SPAN_GAPS = {"engine.stop_check"}
+
+
+def test_every_span_wraps_a_callable_its_owner_defines():
+    tracing = load_tracing()
+    names = {name for _, _, name in tracing.TARGETS}
+    # a class's own attributes, as ``install`` wraps them, or a module's names
+    wrapping = {name for owner, attrs, name in tracing.TARGETS
+                if any(callable(vars(owner).get(attr)) for attr in attrs)}
+    assert names - wrapping == SPAN_GAPS

@@ -7,12 +7,11 @@ from squadsim.viewcore import (COMMIT, COMMIT_VOTE, DECIDE, PHASE_COMMIT,
 from tests.conftest import FakeContext
 
 
-def make_core(crypto, pid, proposal=None, decided=None):
-    log = decided if decided is not None else []
-    core = ViewCore(pid, crypto.n, crypto.f, crypto,
-                    on_decide=lambda ctx, v: log.append(v))
+def make_core(crypto, pid, proposal=None):
+    # the core decides through its context: read FakeContext.decisions
+    core = ViewCore(pid, crypto.n, crypto.f, crypto)
     core.init(proposal if proposal is not None else 100 + pid)
-    return core, log
+    return core
 
 
 def make_qc(crypto, phase, value, view, signers=(1, 2, 3)):
@@ -23,7 +22,7 @@ def make_qc(crypto, phase, value, view, signers=(1, 2, 3)):
 
 def test_start_sends_view_change_to_leader(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     (receiver, msg), = ctx.sends
     assert receiver == leader(1, 4) == 2
@@ -32,7 +31,7 @@ def test_start_sends_view_change_to_leader(crypto4):
 
 def test_leader_proposes_own_value_on_empty_qcs(crypto4):
     ctx = FakeContext(crypto4, pid=2)
-    core, _ = make_core(crypto4, 2, proposal=42)
+    core = make_core(crypto4, 2, proposal=42)
     core.start_executing(ctx, 1)
     ctx.clear()
     for sender in (1, 2, 3):
@@ -45,7 +44,7 @@ def test_leader_proposes_own_value_on_empty_qcs(crypto4):
 
 def test_leader_waits_for_quorum(crypto4):
     ctx = FakeContext(crypto4, pid=2)
-    core, _ = make_core(crypto4, 2)
+    core = make_core(crypto4, 2)
     core.start_executing(ctx, 1)
     ctx.clear()
     for sender in (1, 3):
@@ -55,7 +54,7 @@ def test_leader_waits_for_quorum(crypto4):
 
 def test_leader_picks_highest_qc(crypto4):
     ctx = FakeContext(crypto4, pid=2)
-    core, _ = make_core(crypto4, 2, proposal=42)
+    core = make_core(crypto4, 2, proposal=42)
     core.start_executing(ctx, 9)
     ctx.clear()
     qcs = {1: make_qc(crypto4, PHASE_PREPARE, "a", 3),
@@ -69,7 +68,7 @@ def test_leader_picks_highest_qc(crypto4):
 
 def test_replica_votes_for_well_formed_prepare(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     ctx.clear()
     core.on_message(ctx, 2, CoreMessage(PREPARE, 1, value=42))
@@ -80,7 +79,7 @@ def test_replica_votes_for_well_formed_prepare(crypto4):
 
 def test_prepare_from_non_leader_ignored(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     ctx.clear()
     core.on_message(ctx, 3, CoreMessage(PREPARE, 1, value=42))
@@ -97,7 +96,7 @@ def test_lock_check_truth_table(crypto4):
     ]
     for value, qc_view, expect in cases:
         ctx = FakeContext(crypto4, pid=1)
-        core, _ = make_core(crypto4, 1)
+        core = make_core(crypto4, 1)
         core.locked_qc = make_qc(crypto4, PHASE_PRECOMMIT, "A", 5)
         core.start_executing(ctx, 9)
         ctx.clear()
@@ -109,7 +108,7 @@ def test_lock_check_truth_table(crypto4):
 
 def test_vacuous_lock_votes_for_anything(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     ctx.clear()
     core.on_message(ctx, 2, CoreMessage(PREPARE, 1, value="whatever"))
@@ -118,7 +117,7 @@ def test_vacuous_lock_votes_for_anything(crypto4):
 
 def test_prepare_value_must_match_qc_value(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 9)
     ctx.clear()
     qc = make_qc(crypto4, PHASE_PREPARE, "A", 3)
@@ -128,7 +127,7 @@ def test_prepare_value_must_match_qc_value(crypto4):
 
 def test_precommit_updates_prepare_qc(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     ctx.clear()
     qc = make_qc(crypto4, PHASE_PREPARE, 42, 1)
@@ -139,7 +138,7 @@ def test_precommit_updates_prepare_qc(crypto4):
 
 def test_commit_updates_locked_qc(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     ctx.clear()
     qc = make_qc(crypto4, PHASE_PRECOMMIT, 42, 1)
@@ -150,17 +149,17 @@ def test_commit_updates_locked_qc(crypto4):
 
 def test_decide_fires_once(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, decided = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     qc = make_qc(crypto4, PHASE_COMMIT, 42, 1)
     core.on_message(ctx, 2, CoreMessage(DECIDE, 1, qc=qc))
     core.on_message(ctx, 2, CoreMessage(DECIDE, 1, qc=qc))
-    assert decided == [42]
+    assert ctx.decisions == [42]
 
 
 def test_stale_view_messages_dropped_fresh_buffered(crypto4):
     ctx = FakeContext(crypto4, pid=1)
-    core, _ = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 2)
     ctx.clear()
     core.on_message(ctx, 3, CoreMessage(PREPARE, 1, value="old"))   # stale
@@ -168,24 +167,24 @@ def test_stale_view_messages_dropped_fresh_buffered(crypto4):
     core.on_message(ctx, 4, CoreMessage(DECIDE, 3, qc=future_qc))   # future
     assert ctx.sends == [] and core.decided is False
     core.start_executing(ctx, 3)
-    assert core.decided is True
+    assert core.decided is True and ctx.decisions == [9]
 
 
 def test_forged_qc_rejected(crypto4):
     from squadsim.crypto import ThresholdSignature
     ctx = FakeContext(crypto4, pid=1)
-    core, decided = make_core(crypto4, 1)
+    core = make_core(crypto4, 1)
     core.start_executing(ctx, 1)
     fake_sig = ThresholdSignature("(vote,commit,13,1)", frozenset({1, 2, 3}),
                                   "quorum")
     qc = QuorumCertificate(PHASE_COMMIT, 13, 1, fake_sig)
     core.on_message(ctx, 2, CoreMessage(DECIDE, 1, qc=qc))
-    assert decided == []
+    assert ctx.decisions == []
 
 
 def test_leader_deduplicates_votes(crypto4):
     ctx = FakeContext(crypto4, pid=2)
-    core, _ = make_core(crypto4, 2, proposal=42)
+    core = make_core(crypto4, 2, proposal=42)
     core.start_executing(ctx, 1)
     for sender in (1, 2, 3):
         core.on_message(ctx, sender, CoreMessage(VIEW_CHANGE, 1))
