@@ -122,12 +122,12 @@ class ScheduledReleasePolicy:
     Used by the certified worst case: certification messages sent before
     GST are withheld until the receiver's scheduled release time, which
     staggers when processes finish certification. Everything else gets
-    the exact delta delay: the engine's ``sim.latest_delivery``, computed
-    once per send instant, so every copy of a broadcast shares one
-    delivery-time object. The GST test is the engine's ``sim.post_gst``
-    too; it and the held type are decided once per call. The policy keeps
-    no per-run state, so a config that holds it does not keep any run
-    alive.
+    the exact delta delay: the engine's ``sim.latest_delivery``, built on
+    the first read at a send instant and the same object on every later
+    read there, so a broadcast's copies share one delivery-time object.
+    The GST test is the engine's ``sim.post_gst``; it and the held type
+    are decided once per call. The policy keeps no per-run state, so a
+    config that holds it does not keep any run alive.
     """
 
     def __init__(self, releases: dict[int, Fraction], held_types: tuple):

@@ -20,10 +20,12 @@ exact:
   delivery time) are decided by plain ints. A push into the bucket being
   drained is inserted in order; only a zero delay reaches it, which is
   legal only before GST. The time heap holds ``(numerator / denominator,
-  time)``: int true division is correctly rounded, hence monotone, so a
-  float may order two times only when the floats differ; two distinct
+  time, key)``: int true division is correctly rounded, hence monotone, so
+  a float may order two times only when the floats differ; two distinct
   times with equal floats (``inf`` for every time beyond the float range)
-  fall through to the exact ``Fraction`` compare;
+  fall through to the exact ``Fraction`` compare, so the ``(numerator,
+  denominator)`` key is never compared. The run loop reads a bucket's key
+  from its heap entry;
 - timers measure durations on the owner's local clock, integrating its
   rate schedule. A timer is its generation number, ``timers[(pid, kind)]``
   for any kind a node names: measure and cancel both bump it (from 0),
@@ -33,13 +35,16 @@ exact:
 - message delays are chosen by a DelayPolicy at send time and validated
   there: after GST a delay must lie in (0, delta], before GST it only has
   to be finite. The verdict depends only on the send instant and the
-  delivery time: ``now >= gst`` and ``now + delta`` are computed when
-  ``now`` changes, before the policy is asked, into the plain attributes
-  ``sim.post_gst`` and ``sim.latest_delivery``, which policies read
-  instead of recomputing them. Every delivery time is checked by integer
-  cross-products unless it is the very object the previous copy got, so
-  every illegal copy raises; a policy that returns ``latest_delivery``
-  gives all n copies of a broadcast one shared ``Fraction`` object;
+  delivery time: when ``now`` changes, before the policy is asked,
+  ``now >= gst`` is decided into the plain attribute ``sim.post_gst`` and
+  ``now`` and ``now + delta`` into ints, from GST's and delta's numerators
+  and denominators, read once. ``sim.latest_delivery``, the ``Fraction``
+  ``now + delta``, is a read-only property: built on a policy's first read
+  at an instant, the same object on every later read there, and never
+  built where no policy reads it. Every delivery time is checked by
+  integer cross-products unless it is the very object the previous copy
+  got, so every illegal copy raises; a policy that returns
+  ``latest_delivery`` gives all n copies of a broadcast one shared object;
 - a send call is one record, its ``trace.SendCall`` log entry: the trace
   keeps it and every queued copy carries it with the copy's own seq. A
   broadcast is one engine call that checks and refreshes once, asks the
@@ -60,10 +65,11 @@ exact:
   entry: the trace is the only word tally.
 
 Every exact decision on the hot path (GST, the delivery bounds, the
-horizon, queue monotonicity) is an integer cross-product of the public
-``numerator`` and ``denominator`` (denominators are positive), never a
-float and never ``Fraction``'s comparison dispatch. Time itself stays a
-``Fraction`` wherever it is stored, logged or serialized.
+horizon, queue monotonicity, timer expiries) is made in plain ints, from
+the public ``numerator`` and ``denominator`` (denominators are positive):
+never a float, never ``Fraction`` arithmetic or comparison dispatch. Time
+itself stays an exact ``Fraction`` wherever it is stored, logged,
+serialized or handed to a policy.
 
 Local computation takes zero simulated time: everything a handler emits
 while processing one event happens at the same instant. An exception a
@@ -121,8 +127,8 @@ class DelayPolicy(Protocol):
 
 class MaxDelayPolicy:
     """The exact delta delay for every copy, before GST too (a pre-GST send
-    arrives by GST + delta anyway): ``sim.latest_delivery``, one object per
-    send instant."""
+    arrives by GST + delta anyway): ``sim.latest_delivery``, built on the
+    first read at a send instant, so a broadcast's copies share one object."""
 
     def deliver_at(self, now: Fraction, payload, receivers: Sequence[int],
                    sim: "Simulation") -> list[Fraction]:
@@ -204,26 +210,35 @@ class Simulation:
         self.decisions: dict[int, tuple[Fraction, object]] = {}
         self._undecided = sum(1 for p in range(1, n + 1) if p not in self.byzantine)
 
-        # heap of the distinct pending times as (float, time); a time is in
-        # it exactly while its (numerator, denominator) key is in _buckets
-        self._times: list[tuple[float, Fraction]] = []
+        # heap of the distinct pending times as (float, time, key); a time
+        # is in it exactly while its (numerator, denominator) key is in _buckets
+        self._times: list[tuple[float, Fraction, tuple[int, int]]] = []
         self._buckets: dict[tuple[int, int], list[tuple]] = {}  # (rank, pid, seq, tag, data)
         # the bucket the run loop is draining (sorted), if it has not
         # yet emptied; a retired bucket is never found in _buckets again
         self._draining: Optional[list[tuple]] = None
         self._seq = 0
 
+        # GST and delta as (numerator, denominator), read once
+        self._gst_ratio = (self.gst.numerator, self.gst.denominator)
+        self._delta_ratio = dn, dd = (self.delta.numerator, self.delta.denominator)
         # the values of the send instant ``_instant``, set by _send when
         # the instant changes; delay policies read post_gst and
         # latest_delivery and must not write them
-        self._instant: Optional[Fraction] = None
+        self._instant: Fraction = self.now
         # whether the send being decided happens at or after GST
-        self.post_gst = False
-        # now + delta: the latest legal post-GST delivery time, one object
-        # per send instant
-        self.latest_delivery: Fraction = Fraction(0)
-        # (now, latest) as (numerator, denominator, numerator, denominator)
-        self._bounds: tuple[int, int, int, int] = (0, 1, 0, 1)
+        self.post_gst = self.gst <= 0
+        # (now, now + delta) as (numerator, denominator) pairs, unreduced
+        self._bounds: tuple[int, int, int, int] = (0, 1, dn, dd)
+        self._latest: Optional[Fraction] = None   # latest_delivery, once built
+
+    @property
+    def latest_delivery(self) -> Fraction:
+        """``now + delta`` at the send instant, built on its first read there."""
+        latest = self._latest
+        if latest is None:
+            latest = self._latest = self._instant + self.delta
+        return latest
 
     # -- wiring ----------------------------------------------------------
 
@@ -256,7 +271,7 @@ class Simulation:
                 approx = key[0] / key[1]
             except OverflowError:
                 approx = math.inf
-            heapq.heappush(self._times, (approx, time))
+            heapq.heappush(self._times, (approx, time, key))
         elif bucket is self._draining:
             # it is sorted in descending order; seqs are unique, so the
             # negated (rank, pid, seq) orders every entry
@@ -271,13 +286,13 @@ class Simulation:
         if now is not self._instant:
             # identity, not equality: a reassigned now is a new instant too.
             # Refreshed before the policy is asked, since it reads
-            # post_gst and latest_delivery.
-            self._instant = now
-            gst = self.gst
+            # post_gst and latest_delivery; decided in ints alone
+            self._instant, self._latest = now, None
             nn, nd = now.numerator, now.denominator
-            self.post_gst = nn * gst.denominator >= gst.numerator * nd
-            latest = self.latest_delivery = now + self.delta
-            self._bounds = (nn, nd, latest.numerator, latest.denominator)
+            gn, gd = self._gst_ratio
+            dn, dd = self._delta_ratio
+            self.post_gst = nn * gd >= gn * nd
+            self._bounds = (nn, nd, nn * dd + dn * nd, nd * dd)
         times = self.delay_policy.deliver_at(now, payload, receivers, self)
         if len(times) != len(receivers):
             raise AdversaryViolation(f"delay policy gave {len(times)} delivery "
@@ -343,6 +358,7 @@ class Simulation:
     def run(self, horizon: SimTime) -> Trace:
         horizon_t = Fraction(horizon)
         hn, hd = horizon_t.numerator, horizon_t.denominator
+        pn, pd = self.now.numerator, self.now.denominator   # the last instant
         times, buckets = self._times, self._buckets
         nodes, timers = self.nodes, self.timers
         contexts = {p: self.context(p) for p in range(1, self.n + 1)}
@@ -363,14 +379,13 @@ class Simulation:
                     return self.trace
                 # horizon and monotonicity hold for a whole bucket, since all
                 # its entries share one time; both are integer cross-products
-                time = times[0][1]
-                key = tn, td = time.numerator, time.denominator
+                _, time, key = times[0]
+                tn, td = key
                 if tn * hd > hn * td:
                     self.trace.horizon_hit = True
                     return self.trace
-                now = self.now
-                assert tn * now.denominator >= now.numerator * td, \
-                    "event queue went backwards"
+                assert tn * pd >= pn * td, "event queue went backwards"
+                pn, pd = key
                 self.now = time
                 # the instant, once: the deliveries that follow are at it
                 append(time)

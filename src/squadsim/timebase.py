@@ -1,9 +1,9 @@
 """Exact simulated time and per-process local clocks.
 
 All simulation time is rational (`fractions.Fraction`), never floating
-point: timer expiries are computed by integrating piecewise-constant
-clock-rate schedules, and several latency bounds are checked as exact
-inequalities, so rounding anywhere would make those checks meaningless.
+point: timer expiries integrate piecewise-constant clock-rate schedules
+exactly, in (numerator, denominator) ints, and several latency bounds are
+exact inequalities, so rounding anywhere would make those checks useless.
 
 A process's local clock runs at an adversary-chosen positive rate before
 the global stabilization time (GST) and at rate 1 from GST onward.
@@ -83,27 +83,31 @@ class ClockModel:
 
     def global_expiry(self, t0: Fraction, local_duration: Fraction) -> Fraction:
         """Global time at which ``local_duration`` has elapsed on the local
-        clock, starting from global time ``t0``. Comparisons are integer
-        cross-products of numerators and denominators (denominators are
-        positive); the arithmetic itself stays exact ``Fraction``."""
-        if local_duration.numerator <= 0:
+        clock, starting from global time ``t0``. The schedule is integrated
+        in (numerator, positive denominator) ints, so every comparison is an
+        integer cross-product; the result is exact, one ``Fraction`` built
+        at the end."""
+        rn, rd = local_duration.numerator, local_duration.denominator  # remaining
+        if rn <= 0:
             raise ValueError("duration must be positive")
-        remaining, t = local_duration, t0
+        tn, td = t0.numerator, t0.denominator
         segs = self.segments
         for (start, rate), (end, _) in zip(segs, segs[1:]):
-            if end.numerator * t.denominator <= t.numerator * end.denominator:
+            en, ed = end.numerator, end.denominator
+            if en * td <= tn * ed:
                 continue   # the segment ended by t
-            if t.numerator * start.denominator < start.numerator * t.denominator:
-                t = start
-            capacity = rate * (end - t)
-            if (capacity.numerator * remaining.denominator
-                    >= remaining.numerator * capacity.denominator):
-                return t + remaining / rate
-            remaining -= capacity
-            t = end
-        start, rate = segs[-1]   # the last segment never ends
-        if t.numerator * start.denominator < start.numerator * t.denominator:
-            t = start
-        if rate.numerator != rate.denominator:   # rate 1 once validated
-            remaining = remaining / rate
-        return t + remaining
+            if tn * start.denominator < start.numerator * td:
+                tn, td = start.numerator, start.denominator
+            an, ad = rate.numerator, rate.denominator
+            cn, cd = an * (en * td - tn * ed), ad * ed * td   # rate * (end - t)
+            if cn * rd >= rn * cd:
+                break
+            rn, rd = rn * cd - cn * rd, rd * cd   # remaining - capacity
+            tn, td = en, ed
+        else:
+            start, rate = segs[-1]   # the last segment never ends
+            if tn * start.denominator < start.numerator * td:
+                tn, td = start.numerator, start.denominator
+            an, ad = rate.numerator, rate.denominator   # 1 once validated
+        # t + remaining / rate
+        return Fraction(tn * rd * an + rn * ad * td, td * rd * an)

@@ -111,11 +111,6 @@ class SendCall:
     seq: int                   # the first copy's; copy i has seq + i
     receivers: Sequence[int]   # one copy each, in copy (and seq) order
 
-    def copy_event(self, i: int) -> TraceEvent:
-        """The send event of copy ``i``."""
-        return TraceEvent(self.time, self.process, self.kind, None, self.words,
-                          self.payload, self.process, self.receivers[i], self.seq + i)
-
 
 def _own(owners: list, call: SendCall, owner) -> None:
     """Make ``owner`` the entry of every seq of ``call`` in ``owners``, a list

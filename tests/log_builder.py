@@ -3,7 +3,8 @@
 A ``LogBuilder`` appends to a trace what the engine would log: a send call
 as one ``SendCall``, a delivery as its seq after the instant it happens at,
 and every other event as its ``TraceEvent``. Tests build their traces with
-it, so the metrics read them exactly as they read a run's.
+it, so the metrics read them exactly as they read a run's. ``copy_event``
+goes the other way, from a send call to the send event of one copy.
 """
 
 from fractions import Fraction
@@ -15,6 +16,12 @@ from squadsim.trace import SendCall, Trace, TraceEvent
 def _time(time) -> Fraction:
     """``time`` itself if it is a ``Fraction``, else the equal one."""
     return time if isinstance(time, Fraction) else Fraction(time)
+
+
+def copy_event(call: SendCall, i: int) -> TraceEvent:
+    """The send event of copy ``i`` of ``call``."""
+    return TraceEvent(call.time, call.process, call.kind, None, call.words,
+                      call.payload, call.process, call.receivers[i], call.seq + i)
 
 
 class LogBuilder:

@@ -244,10 +244,26 @@ def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
             sim.context(1).send(2, payload)
             expected.append(_jitter_formula(policy, rng, sent, payload, gst, delta))
         # each copy's delivery time is the time of the bucket holding it
-        at = {(t.numerator, t.denominator): t for _, t in sim._times}
+        at = {key: t for _, t, key in sim._times}
         queued = sorted((entry[4].seq, at[key]) for key, bucket in sim._buckets.items()
                         for entry in bucket if entry[3] == "deliver")
         assert [deliver_at for _, deliver_at in queued] == expected
+
+
+def test_a_jitter_run_never_builds_latest_delivery(monkeypatch):
+    # the jitter policy reads post_gst only, so the engine never adds
+    # now + delta; a worst-case run is the probe's control
+    reads = []
+    latest = Simulation.latest_delivery
+    monkeypatch.setattr(Simulation, "latest_delivery", property(
+        lambda sim: reads.append(sim.now) or latest.fget(sim)))
+    for seed in range(3):
+        cfg = randomized(4, seed)
+        assert isinstance(cfg.policy, JitterDelayPolicy)
+        assert run_scenario(cfg).report.decided
+    assert reads == []
+    assert run_scenario(worst_case(4, 0)).report.decided
+    assert reads
 
 
 def test_scheduled_release_returns_the_release_object_unless_now_is_later():
@@ -257,12 +273,21 @@ def test_scheduled_release_returns_the_release_object_unless_now_is_later():
     before, at, after = Fraction(8), Fraction(20, 2), Fraction(12)
     assert at == now and at is not now
     policy = ScheduledReleasePolicy({1: before, 2: at, 3: after}, (HeldNote,))
-    sim = Simulation(4, 1, Fraction(50), Fraction(1), policy)
-    sim.post_gst, sim.latest_delivery = False, now + 1
+
+    def sim_at(gst):
+        # a send at now sets the engine's values of that instant
+        sim = Simulation(4, 1, gst, Fraction(1), policy)
+        sim.now = now
+        sim.context(1).send(4, Note("instant"))
+        assert sim.post_gst == (now >= gst)
+        assert sim.latest_delivery == now + 1
+        return sim
+
+    sim = sim_at(Fraction(50))
     got = policy.deliver_at(now, HeldNote("x"), range(1, 5), sim)
     assert [id(t) for t in got] == [id(now), id(at), id(after), id(sim.latest_delivery)]
     # a type that is not held, or a send at or after GST, gets latest_delivery
-    for payload, post_gst in ((Note("x"), False), (HeldNote("x"), True)):
-        sim.post_gst = post_gst
+    for payload, gst in ((Note("x"), Fraction(50)), (HeldNote("x"), Fraction(10))):
+        sim = sim_at(gst)
         got = policy.deliver_at(now, payload, (3, 1), sim)
         assert [id(t) for t in got] == [id(sim.latest_delivery)] * 2

@@ -18,6 +18,7 @@ from squadsim.engine import (AdversaryViolation, MaxDelayPolicy, ProtocolError,
 from squadsim.timebase import ClockModel
 from squadsim.trace import SendCall, TraceEvent
 from tests.exact_times import exact_cases
+from tests.log_builder import copy_event
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ def drain(sim, horizon=Fraction(1000)):
 def queued_deliveries(sim):
     """(send event, delivery time) per queued copy. The event is built from
     the send call's log entry and the copy's seq, both in the queue entry;
-    the time is the object the copy's bucket holds in the time heap: the
-    one its deliver event will carry."""
-    at = {(t.numerator, t.denominator): t for _, t in sim._times}
-    return [(entry[4].copy_event(entry[2] - entry[4].seq), at[key])
+    the time is the object the copy's bucket holds in the time heap, an
+    (approx, time, key) entry: the one its deliver event will carry."""
+    at = {key: t for _, t, key in sim._times}
+    return [(copy_event(entry[4], entry[2] - entry[4].seq), at[key])
             for key, bucket in sim._buckets.items()
             for entry in bucket if entry[3] == "deliver"]
 
@@ -345,6 +346,29 @@ class RecordingPolicy:
         self.seen.append((now, payload, list(receivers), sim.post_gst,
                           sim.latest_delivery))
         return [sim.latest_delivery] * len(receivers)
+
+
+@given(exact_cases())
+@settings(max_examples=200, deadline=None)
+def test_latest_delivery_is_one_object_per_send_instant(case):
+    # now + delta exactly, and one object across every read and send call
+    # at one instant; a reassigned now, even an equal one, is a new instant
+    gst, delta, now, _ = case
+    policy = RecordingPolicy()
+    sim = Simulation(4, 1, gst, delta, policy)
+    ctx, built = sim.context(1), []
+    for at in (now, Fraction(now.numerator, now.denominator)):
+        sim.now = at
+        ctx.broadcast(Ping("all"))
+        ctx.send(2, Ping("one"))
+        latest = sim.latest_delivery
+        assert latest == at + delta and type(latest) is Fraction
+        assert sim.post_gst == (at >= gst)
+        assert all(read is latest for *_, read in policy.seen)
+        assert sim.latest_delivery is latest
+        policy.seen.clear()
+        built.append(latest)
+    assert built[0] is not built[1]
 
 
 def test_broadcast_copies_are_distinct_send_events_in_receiver_order():

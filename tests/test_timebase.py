@@ -13,6 +13,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from squadsim.timebase import ClockModel
+from tests.exact_times import exact_times, positive_times
 
 
 def fractions(max_num=400, max_den=8):
@@ -94,3 +95,42 @@ def test_local_clock_strictly_monotone(clock, a, b):
     if lo == hi:
         return
     assert clock.local_elapsed(lo, hi) > 0
+
+
+def fraction_expiry(clock, t0, local_duration):
+    """``global_expiry`` as it was written in ``Fraction`` arithmetic: the
+    reference for the integer version."""
+    remaining, t = local_duration, t0
+    segs = clock.segments
+    for (start, rate), (end, _) in zip(segs, segs[1:]):
+        if end <= t:
+            continue   # the segment ended by t
+        t = max(t, start)
+        capacity = rate * (end - t)
+        if capacity >= remaining:
+            return t + remaining / rate
+        remaining -= capacity
+        t = end
+    start, rate = segs[-1]   # the last segment never ends
+    return max(t, start) + remaining / rate
+
+
+@st.composite
+def exact_schedules(draw):
+    """A validated pre-GST schedule whose breakpoints, rates and GST have
+    numerators up to 10**20 and mixed denominators."""
+    breaks = draw(st.lists(positive_times, max_size=4, unique=True))
+    gst = max(breaks, default=Fraction(0)) + draw(positive_times)
+    rates = draw(st.lists(positive_times, min_size=5, max_size=5))
+    clock = ClockModel.piecewise(
+        1, list(zip([Fraction(0)] + sorted(breaks), rates)), gst)
+    clock.validate(gst)
+    return clock
+
+
+@given(exact_schedules(), exact_times, positive_times)
+@settings(max_examples=400)
+def test_expiry_equals_the_rational_formula_exactly(clock, t0, duration):
+    expiry = clock.global_expiry(t0, duration)
+    assert type(expiry) is Fraction
+    assert expiry == fraction_expiry(clock, t0, duration)
