@@ -19,9 +19,12 @@ duration is computed.
 A delay policy is asked once per send call and chooses one delivery time
 per receiver, in receiver order; after GST the engine validates each
 against the delta bound. All jittered delays come from
-``JitterDelayPolicy``; ``HoldUntilGstPolicy`` and ``RandomizedPolicy`` are
-presets of it. ``ScheduledReleasePolicy`` and the engine's
-``MaxDelayPolicy`` give exact delta delays.
+``JitterDelayPolicy``, one draw of the run's ``sim.rng`` bits and one
+``Fraction`` per copy, with everything else decided once per call from
+``now`` and the engine's ``sim.gst_ratio`` and ``sim.delta_ratio`` ints;
+``HoldUntilGstPolicy`` and ``RandomizedPolicy`` are presets of it.
+``ScheduledReleasePolicy`` and the engine's ``MaxDelayPolicy`` give exact
+delta delays.
 
 ``build_node`` builds every process's node: the protocol node for a correct
 pid, and the node ``STRATEGIES[cfg.strategy]`` builds for a Byzantine one.
@@ -48,8 +51,7 @@ from .consensus import (ANY_VALUE_TAG, PROTOCOLS, AllowAnyMsg, Certificate,
 # --------------------------------------------------------------------------
 
 class JitterDelayPolicy:
-    """Seeded jittered delays: one ``randrange`` step per copy, drawn in
-    receiver order.
+    """Seeded jittered delays: one step per copy, drawn in receiver order.
 
     After GST the delay is ``delta * step / RES`` with step in 1..RES.
     Before GST the step lies in 1..``pre_gst_steps``; a payload of one of
@@ -58,11 +60,19 @@ class JitterDelayPolicy:
     ``ScheduledReleasePolicy`` it reads the engine's ``sim.post_gst`` and
     keeps no per-run state.
 
-    Each delivery time is built as one ``Fraction`` from plain ints, the
-    numerators and denominators of the base time and of ``delta``, and the
-    pre-GST cap is an integer cross-product. No float and no ``Fraction``
-    comparison takes part, so each result equals the rational formula
-    above exactly. Everything but the step is decided once per call.
+    A step is ``1 + r`` for ``r = sim.rng.getrandbits(k)``, ``k`` the bit
+    length of the number of steps, drawn again while ``r`` is not below
+    it: the loop CPython's ``Random.randrange(1, steps + 1)`` runs, so the
+    stream is the same, read straight from the MT19937 bits.
+
+    Each delivery time is built as one ``Fraction`` from plain ints: the
+    numerators and denominators of ``now`` and of the engine's
+    ``sim.gst_ratio`` and ``sim.delta_ratio``. The pre-GST cap is the
+    largest ``r`` whose time stays at or under ``gst + delta``, one floor
+    division; a capped copy gets ``gst + delta``, built once per call and
+    only if some copy is capped. No float and no ``Fraction`` comparison
+    takes part, so each result equals the rational formula above exactly.
+    Everything but the draw is decided once per call.
     """
 
     RES = 64
@@ -74,29 +84,35 @@ class JitterDelayPolicy:
     def deliver_at(self, now: Fraction, payload, receivers,
                    sim: Simulation) -> list[Fraction]:
         post_gst = sim.post_gst
-        steps = (self.RES if post_gst else self.pre_gst_steps) + 1
+        steps = self.RES if post_gst else self.pre_gst_steps
         held = not post_gst and isinstance(payload, self.held_types)
-        gst, delta = sim.gst, sim.delta
-        base = gst if held else now
-        # base + delta * step / RES over a common denominator
-        bd, dd = base.denominator, delta.denominator * self.RES
-        start, unit, den = base.numerator * dd, delta.numerator * bd, bd * dd
-        randrange = sim.rng.randrange
+        gn, gd = sim.gst_ratio
+        dn, dd = sim.delta_ratio
+        bn, bd = (gn, gd) if held else (now.numerator, now.denominator)
+        # base + delta * (1 + r) / RES over a common denominator
+        unit, den = dn * bd, bd * dd * self.RES
+        start = bn * dd * self.RES + unit
         if post_gst or held:
-            return [Fraction(start + unit * randrange(1, steps), den) for _ in receivers]
-        # capped at gst + delta: num / den > cap_num / cap_den
-        gd, cd = gst.denominator, delta.denominator
-        cap_num, cap_den = gst.numerator * cd + delta.numerator * gd, gd * cd
+            uncapped = steps
+        else:
+            # capped at gst + delta = cap_num / cap_den: r is uncapped while
+            # (start + unit * r) * cap_den <= cap_num * den
+            cap_num, cap_den = gn * dd + dn * gd, gd * dd
+            uncapped = (cap_num * den - start * cap_den) // (unit * cap_den) + 1
+        getrandbits, k = sim.rng.getrandbits, steps.bit_length()
         cap = None
         out = []
+        append = out.append
         for _ in receivers:
-            num = start + unit * randrange(1, steps)
-            if num * cap_den > cap_num * den:
-                if cap is None:
-                    cap = gst + delta
-                out.append(cap)
+            r = getrandbits(k)
+            while r >= steps:
+                r = getrandbits(k)
+            if r < uncapped:
+                append(Fraction(start + unit * r, den))
             else:
-                out.append(Fraction(num, den))
+                if cap is None:
+                    cap = Fraction(cap_num, cap_den)
+                append(cap)
         return out
 
 
@@ -316,6 +332,9 @@ class ScenarioConfig:
         for what, keyed in (("clock", self.clocks), ("start", self.start_times)):
             if set(keyed) != pids:
                 raise ValueError(f"{what} ids {sorted(keyed)} are not 1..{self.n}")
+        if self.seed < 0:
+            # Random(-s) is seeded like Random(s): one trace under two labels
+            raise ValueError("seed must be nonnegative")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.gst < 0:

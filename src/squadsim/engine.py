@@ -38,7 +38,9 @@ exact:
   delivery time: when ``now`` changes, before the policy is asked,
   ``now >= gst`` is decided into the plain attribute ``sim.post_gst`` and
   ``now`` and ``now + delta`` into ints, from GST's and delta's numerators
-  and denominators, read once. ``sim.latest_delivery``, the ``Fraction``
+  and denominators, read once into the plain attributes ``sim.gst_ratio``
+  and ``sim.delta_ratio``, which a delay policy reads for its own integer
+  arithmetic and never writes. ``sim.latest_delivery``, the ``Fraction``
   ``now + delta``, is a read-only property: built on a policy's first read
   at an instant, the same object on every later read there, and never
   built where no policy reads it. Every delivery time is checked by
@@ -219,9 +221,10 @@ class Simulation:
         self._draining: Optional[list[tuple]] = None
         self._seq = 0
 
-        # GST and delta as (numerator, denominator), read once
-        self._gst_ratio = (self.gst.numerator, self.gst.denominator)
-        self._delta_ratio = dn, dd = (self.delta.numerator, self.delta.denominator)
+        # GST and delta as (numerator, denominator), read once; like
+        # post_gst, plain attributes that delay policies read and must not write
+        self.gst_ratio = (self.gst.numerator, self.gst.denominator)
+        self.delta_ratio = dn, dd = (self.delta.numerator, self.delta.denominator)
         # the values of the send instant ``_instant``, set by _send when
         # the instant changes; delay policies read post_gst and
         # latest_delivery and must not write them
@@ -289,8 +292,8 @@ class Simulation:
             # post_gst and latest_delivery; decided in ints alone
             self._instant, self._latest = now, None
             nn, nd = now.numerator, now.denominator
-            gn, gd = self._gst_ratio
-            dn, dd = self._delta_ratio
+            gn, gd = self.gst_ratio
+            dn, dd = self.delta_ratio
             self.post_gst = nn * gd >= gn * nd
             self._bounds = (nn, nd, nn * dd + dn * nd, nd * dd)
         times = self.delay_policy.deliver_at(now, payload, receivers, self)

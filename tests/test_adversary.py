@@ -234,20 +234,42 @@ def test_reused_jitter_policy_matches_the_formula_across_deltas(policy):
     # before GST, near it, at it and after it; one large denominator
     sends = [Fraction(0), Fraction(3, 7), Fraction(2**61 - 1, 2**58),
              Fraction(29, 3), Fraction(10), Fraction(25, 2)]
+    near_the_cap = [0, 0]
     for seed, delta in enumerate([Fraction(1), Fraction(1, 3), Fraction(1)]):
         sim = Simulation(4, 1, gst, delta, policy, seed=seed)
+        # the reference draws: the stdlib's randrange on the same seed
         rng = random.Random(seed)
         expected = []
         for i, sent in enumerate(sends * 8):
             payload = (HeldNote if i % 2 else Note)(str(i))
+            if i % 4 == 3:
+                # a plain pre-GST send whose next draw lands exactly on
+                # gst + delta, which is not capped, or one step above it,
+                # which is; only a pre-GST step above RES can reach them
+                ahead = random.Random()
+                ahead.setstate(rng.getstate())
+                step = ahead.randrange(1, policy.pre_gst_steps + 1)
+                above = i // 4 % 2
+                if step - above > policy.RES:
+                    sent = gst + delta - delta * Fraction(step - above, policy.RES)
+                    payload = Note(str(i))
+                    near_the_cap[above] += 1
             sim.now = Fraction(sent)   # a fresh object: a new send instant
-            sim.context(1).send(2, payload)
-            expected.append(_jitter_formula(policy, rng, sent, payload, gst, delta))
+            # one receiver, or a broadcast drawn in receiver order
+            if i % 3:
+                sim.context(1).broadcast(payload)
+                receivers = range(1, 5)
+            else:
+                sim.context(1).send(2, payload)
+                receivers = (2,)
+            expected += [_jitter_formula(policy, rng, sent, payload, gst, delta)
+                         for _ in receivers]
         # each copy's delivery time is the time of the bucket holding it
         at = {key: t for _, t, key in sim._times}
-        queued = sorted((entry[4].seq, at[key]) for key, bucket in sim._buckets.items()
+        queued = sorted((entry[2], at[key]) for key, bucket in sim._buckets.items()
                         for entry in bucket if entry[3] == "deliver")
         assert [deliver_at for _, deliver_at in queued] == expected
+    assert all(near_the_cap) or policy.pre_gst_steps <= policy.RES
 
 
 def test_a_jitter_run_never_builds_latest_delivery(monkeypatch):

@@ -154,6 +154,8 @@ def test_custom_file_requires_path():
                  id="line-without-equals"),
     pytest.param("start=-3\n", [], None, "nonnegative", id="negative-start"),
     pytest.param(None, ["--seeds", "5..1"], None, "", id="empty-seeds"),
+    pytest.param(None, ["--seeds", "-1"], None, "seed must be nonnegative",
+                 id="negative-seed"),
     pytest.param(None, ["--n", ""], None, "", id="empty-n"),
     pytest.param(None, ["--epsilon", "-1"], None, "", id="negative-epsilon"),
     pytest.param(None, ["--delta", ""], None, "", id="empty-delta"),
@@ -183,10 +185,11 @@ def test_malformed_input_is_config_error(tmp_path, capsys, scenario, args,
         conf.write_text(config)
         argv += ["--config", str(conf)]
     code, out = run_cli(tmp_path, *argv)
-    err = capsys.readouterr().err
+    printed = capsys.readouterr()
     assert code == 2
-    assert "config error" in err and "Traceback" not in err
-    assert message in err
+    assert "config error" in printed.err and "Traceback" not in printed.err
+    assert message in printed.err
+    assert printed.out == ""
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ computed expiry must give back exactly the measured duration, and
 strictly less at any earlier instant.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -134,3 +135,61 @@ def test_expiry_equals_the_rational_formula_exactly(clock, t0, duration):
     expiry = clock.global_expiry(t0, duration)
     assert type(expiry) is Fraction
     assert expiry == fraction_expiry(clock, t0, duration)
+
+
+@st.composite
+def constructed_clocks(draw):
+    """A validated clock from each constructor: ``constant``,
+    ``drift_until`` or ``piecewise``."""
+    which = draw(st.sampled_from(["constant", "drift_until", "piecewise"]))
+    if which == "constant":
+        return ClockModel.constant(1)
+    if which == "piecewise":
+        return draw(exact_schedules())
+    gst = draw(st.one_of(st.just(Fraction(0)), positive_times))
+    clock = ClockModel.drift_until(1, draw(positive_times), gst)
+    clock.validate(gst)
+    return clock
+
+
+@given(constructed_clocks(), exact_times, positive_times)
+@settings(max_examples=300)
+def test_every_constructor_gives_the_rational_expiry(clock, t0, duration):
+    assert clock.global_expiry(t0, duration) == fraction_expiry(clock, t0, duration)
+
+
+def test_the_cached_ints_take_no_part_in_equality_hash_or_repr():
+    # equal schedules held by distinct objects
+    a = ClockModel.drift_until(3, Fraction(1, 2), Fraction(40))
+    b = ClockModel(3, ((Fraction(0), Fraction(2, 4)), (Fraction(80, 2), Fraction(1))))
+    assert a == b and hash(a) == hash(b)
+    assert a != ClockModel.drift_until(3, Fraction(1, 3), Fraction(40))
+    assert repr(a) == ("ClockModel(process=3, segments=((Fraction(0, 1), Fraction(1, 2)), "
+                       "(Fraction(40, 1), Fraction(1, 1))))")
+    assert ClockModel.constant(1) == ClockModel.constant(1)
+
+
+def test_replace_rebuilds_the_cached_ints():
+    drift = ClockModel.drift_until(1, Fraction(1, 2), Fraction(100))
+    assert drift.global_expiry(Fraction(0), Fraction(10)) == 20
+    plain = dataclasses.replace(drift, segments=ClockModel.constant(1).segments)
+    assert plain == ClockModel.constant(1)
+    assert plain.global_expiry(Fraction(0), Fraction(10)) == 10
+    faster = dataclasses.replace(drift, segments=((Fraction(0), Fraction(2)),
+                                                  (Fraction(100), Fraction(1))))
+    assert faster.global_expiry(Fraction(0), Fraction(10)) == 5
+
+
+@pytest.mark.parametrize("segments, message", [
+    (((Fraction(0), Fraction(0)),), "non-positive clock rate 0"),
+    (((Fraction(0), Fraction(2)), (Fraction(0), Fraction(0)), (Fraction(9), Fraction(1))),
+     "non-positive clock rate 0"),
+    (((Fraction(0), Fraction(2)), (Fraction(5), Fraction(1)), (Fraction(3), Fraction(1))),
+     "unsorted rate schedule"),
+    (((Fraction(0), Fraction(2)), (Fraction(0), Fraction(1))), "unsorted rate schedule"),
+])
+def test_validate_still_names_a_bad_schedule_first(segments, message):
+    # building a clock reads its ints and checks nothing: validate decides
+    clock = ClockModel(1, segments)
+    with pytest.raises(ValueError, match=f"P1: {message}"):
+        clock.validate(Fraction(10))
